@@ -75,6 +75,20 @@ that representation is reused everywhere downstream.
   back to lossy ``repr`` sizing are surfaced in
   ``NetworkStatistics.messages_sized_by_repr``.
 
+* **Splice-only, batched persistence writes** -- persisting an agreed update
+  re-encodes nothing and grows with nothing.  ``EvidenceStore`` writes each
+  record as a fixed envelope around the token's cached canonical text
+  (byte-identical to the generic encoder's output for the same record) and
+  keeps no decoded copy: records are decoded, and memoised, when a dispute or
+  a recovery *reads* them.  ``StateStore`` appends one small history entry
+  per agreed version (``state:{owner}:history:{object_id}:{version:012d}``),
+  so version 10 000 costs what version 1 did.  The records of one protocol
+  step -- the proposer's phase-2 decisions, a responder's outcome with its
+  forwarded decisions, the invocation client's receipt pair, a replica's
+  snapshot + history entry + durable outcome record -- reach the backend in
+  one ``StorageBackend.put_many`` (one lock in memory, one all-or-nothing
+  transaction on SQLite).
+
 Concurrency model
 -----------------
 

@@ -55,6 +55,10 @@ try:  # the C escaper when available, byte-identical to json.dumps defaults
 except ImportError:  # pragma: no cover - pure-python fallback
     from json.encoder import py_encode_basestring_ascii as _escape_str
 
+#: The canonical writer's string escaper, for code that splices canonical text
+#: around an already encoded value (``persistence.evidence_store``).
+escape_str = _escape_str
+
 
 class CodecError(ReproError):
     """Raised when a value cannot be canonically encoded."""

@@ -421,7 +421,7 @@ class B2BInvocationHandler:
 
         response = self._coordinator.request(request_message)
         return self._handle_response(
-            b2b_invocation, run_id, request_payload, response
+            b2b_invocation, run_id, request_payload, nro_request, response
         )
 
     def _handle_response(
@@ -429,6 +429,7 @@ class B2BInvocationHandler:
         b2b_invocation: B2BInvocation,
         run_id: str,
         request_payload: Dict[str, Any],
+        nro_request: EvidenceToken,
         response: B2BProtocolMessage,
     ) -> InvocationOutcome:
         services = self._coordinator.services
@@ -454,13 +455,13 @@ class B2BInvocationHandler:
             expected_payload=response_payload,
             expected_issuer=b2b_invocation.target_party,
         )
-        for token in (nrr_request, nro_response):
-            services.evidence_store.store(
-                run_id=run_id,
-                token_type=token.token_type,
-                token=token,
-                role=services.evidence_store.ROLE_RECEIVED,
-            )
+        services.evidence_store.store_many(
+            run_id,
+            [
+                (token.token_type, token, services.evidence_store.ROLE_RECEIVED)
+                for token in (nrr_request, nro_response)
+            ],
+        )
 
         # NRR_resp: receipt (and consumption indication) for the response.
         consumed = b2b_invocation.consume_response
@@ -512,7 +513,7 @@ class B2BInvocationHandler:
             exception=response_payload.get("exception"),
             exception_type=response_payload.get("exception_type"),
             evidence={
-                TokenType.NRO_REQUEST.value: nro_request_from(services, run_id),
+                TokenType.NRO_REQUEST.value: nro_request,
                 TokenType.NRR_REQUEST.value: nrr_request,
                 TokenType.NRO_RESPONSE.value: nro_response,
                 TokenType.NRR_RESPONSE.value: nrr_response,

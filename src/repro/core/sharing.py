@@ -1035,10 +1035,13 @@ class B2BObjectController:
             shared.version = new_version
             if shared.bound_instance is not None:
                 shared.bound_instance.set_state(shared.state_copy())
-        state_store = self._coordinator.services.state_store
-        state_store.record_version(object_id, agreed_state)
-        if self.durable_state and outcome_record is not None:
-            state_store.record_outcome(object_id, new_version, outcome_record)
+        # Snapshot, history entry and durable outcome record: one write.
+        self._coordinator.services.state_store.record_version(
+            object_id,
+            agreed_state,
+            outcome_version=new_version,
+            outcome_record=outcome_record if self.durable_state else None,
+        )
 
     def _build_outcome_record(
         self,
@@ -1969,12 +1972,6 @@ class B2BObjectController:
             expected_payload=outcome_payload,
             expected_issuer=message.sender,
         )
-        services.evidence_store.store(
-            run_id=message.run_id,
-            token_type=nr_outcome.token_type,
-            token=nr_outcome,
-            role=services.evidence_store.ROLE_RECEIVED,
-        )
         # Keep every peer's decision evidence for dispute resolution: the
         # forwarded tokens are verified as a set and only verifiable evidence
         # is retained.  Verification stays on this thread: under parallel
@@ -2000,17 +1997,25 @@ class B2BObjectController:
             ),
             parallel_verification=False,
         )
-        rejected_decisions = []
-        for token, error in zip(decision_tokens, verdicts):
-            if error is not None:
-                rejected_decisions.append(token.token_id)
-                continue
-            services.evidence_store.store(
-                run_id=message.run_id,
-                token_type=token.token_type,
-                token=token,
-                role=services.evidence_store.ROLE_RECEIVED,
-            )
+        rejected_decisions = [
+            token.token_id
+            for token, error in zip(decision_tokens, verdicts)
+            if error is not None
+        ]
+        verified_decisions = [
+            token
+            for token, error in zip(decision_tokens, verdicts)
+            if error is None
+        ]
+        # The outcome and the decisions behind it are written in one step,
+        # before the update they justify is applied.
+        services.evidence_store.store_many(
+            message.run_id,
+            [
+                (token.token_type, token, services.evidence_store.ROLE_RECEIVED)
+                for token in [nr_outcome] + verified_decisions
+            ],
+        )
         agreed = bool(outcome_payload.get("agreed"))
         applied = False
         if agreed and self.is_shared(object_id):
@@ -2027,11 +2032,7 @@ class B2BObjectController:
                     outcome_payload=outcome_payload,
                     proposal=proposal,
                     nr_outcome=nr_outcome,
-                    decision_tokens=[
-                        token
-                        for token, error in zip(decision_tokens, verdicts)
-                        if error is None
-                    ],
+                    decision_tokens=verified_decisions,
                 )
                 self._apply_update(
                     object_id, proposed_state, new_version, outcome_record=record
@@ -2245,14 +2246,15 @@ class _UpdateRun(_CoordinationRun):
             decisions[peer] = decision
             if token is not None:
                 decision_tokens[peer] = token
-                services.evidence_store.store(
-                    run_id=self.run_id,
-                    token_type=token.token_type,
-                    token=token,
-                    role=services.evidence_store.ROLE_RECEIVED,
-                )
             if not decision.accepted and not reason:
                 reason = decision.reason
+        services.evidence_store.store_many(
+            self.run_id,
+            [
+                (token.token_type, token, services.evidence_store.ROLE_RECEIVED)
+                for token in decision_tokens.values()
+            ],
+        )
         self._decisions = decisions
         self._decision_tokens = decision_tokens
         self._reason = reason

@@ -18,8 +18,8 @@ import os
 import threading
 from typing import Optional
 
-_DIGEST = hashlib.sha256
-_DIGEST_SIZE = _DIGEST().digest_size
+_DIGEST = "sha256"
+_DIGEST_SIZE = hashlib.new(_DIGEST).digest_size
 
 
 class SecureRandom:
@@ -39,7 +39,7 @@ class SecureRandom:
         self._update(seed)
 
     def _hmac(self, key: bytes, data: bytes) -> bytes:
-        return hmac.new(key, data, _DIGEST).digest()
+        return hmac.digest(key, data, _DIGEST)  # one-shot C path
 
     def _update(self, provided_data: Optional[bytes]) -> None:
         self._key = self._hmac(self._key, self._value + b"\x00" + (provided_data or b""))

@@ -5,13 +5,25 @@ precisely, evidence extracted from messages)" (assumption 3, Section 3.1).
 The :class:`EvidenceStore` keeps evidence records indexed by protocol run so
 that all tokens belonging to one interaction can be produced together during
 dispute resolution.
+
+Key layout: ``evidence:{owner}:{run}:{type}:{role}:{seq}``, ``seq`` being the
+record's position in its run.  The value is the canonical encoding of the
+:class:`StoredEvidence` dictionary form,
+``{"role":…,"run_id":…,"stored_at":…,"token":…,"token_type":…}``.
+
+Write-path contract: a record is *spliced*, never re-encoded -- the fixed
+envelope is written around the token's own cached canonical text
+(``token.data_encoded().text``), byte for byte what ``codec.encode`` makes of
+the same record -- and writing keeps no decoded copy: records are decoded, and
+memoised, when something reads them.  The records of one protocol step go to
+the backend in one ``put_many`` (:meth:`EvidenceStore.store_many`).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import codec
 from repro.clock import Clock, SystemClock
@@ -60,12 +72,13 @@ class EvidenceStore:
 
     Dispute-time queries are index-backed: besides the per-run key index the
     store maintains a per-``(run, token_type)`` index (so
-    :meth:`tokens_of_type` touches only matching records), a per-record size
-    cache with a running total (so :meth:`storage_bytes` is O(1) and never
-    re-reads the backend) and a decoded-record memo (so repeated
+    :meth:`tokens_of_type` touches only matching records), a running total
+    of record sizes (so :meth:`storage_bytes` is O(1) and never re-reads the
+    backend) and a decoded-record memo filled by reads (so repeated
     :meth:`evidence_for_run` calls decode each record at most once per
     process).  All indexes are derived state: they are rebuilt from the
-    backend on construction and maintained incrementally by :meth:`store`.
+    backend on construction and maintained incrementally by
+    :meth:`store_many`.
 
     On a backend advertising ``supports_prefix_scan`` (the embedded-KV
     SQLite backend) the in-memory indexes are not built at all: opening
@@ -91,13 +104,12 @@ class EvidenceStore:
         self._clock = clock or SystemClock()
         self._index: Dict[str, List[str]] = {}
         self._type_index: Dict[Tuple[str, str], List[str]] = {}
-        self._sizes: Dict[str, int] = {}
         self._total_bytes = 0
         self._decoded: Dict[str, StoredEvidence] = {}
         self._lock = threading.RLock()
         # Scan-backed mode: the backend answers prefix queries natively, so
         # no derived state is rebuilt on open -- only per-run next-sequence
-        # counters, primed lazily on the first store() touching a run.
+        # counters, primed lazily on the first write touching a run.
         self._scan_backed = bool(self._backend.supports_prefix_scan)
         self._sequences: Dict[str, int] = {}
         if not self._scan_backed:
@@ -112,14 +124,12 @@ class EvidenceStore:
             return None
 
     def _register_locked(
-        self, key: str, record: StoredEvidence, size: int
+        self, key: str, run_id: str, token_type: str, size: int
     ) -> None:
         """Add one record to every derived index; caller must hold the lock."""
-        self._index.setdefault(record.run_id, []).append(key)
-        self._type_index.setdefault((record.run_id, record.token_type), []).append(key)
-        self._sizes[key] = size
+        self._index.setdefault(run_id, []).append(key)
+        self._type_index.setdefault((run_id, token_type), []).append(key)
         self._total_bytes += size
-        self._decoded[key] = record
 
     def _rebuild_index(self) -> None:
         """Recover the indexes from the backend.
@@ -150,7 +160,10 @@ class EvidenceStore:
                 for _, _, key, record, size in sorted(
                     entries, key=lambda entry: (entry[0], entry[1])
                 ):
-                    self._register_locked(key, record, size)
+                    self._register_locked(
+                        key, record.run_id, record.token_type, size
+                    )
+                    self._decoded[key] = record
 
     def _key_for(self, run_id: str, token_type: str, role: str, sequence: int) -> str:
         return f"evidence:{self.owner}:{run_id}:{token_type}:{role}:{sequence}"
@@ -214,7 +227,7 @@ class EvidenceStore:
         token_type: str,
         token: Any,
         role: str = ROLE_RECEIVED,
-    ) -> StoredEvidence:
+    ) -> None:
         """Persist one evidence token for ``run_id``.
 
         ``token`` is either the dictionary form of a token or a token object
@@ -224,32 +237,74 @@ class EvidenceStore:
         that cached encoding into the stored record, so a token that is
         stored by several parties is canonically encoded only once.
         """
-        if role not in (self.ROLE_GENERATED, self.ROLE_RECEIVED):
-            raise PersistenceError(f"unknown evidence role {role!r}")
-        to_dict = getattr(token, "to_dict", None)
-        token_mapping = to_dict() if callable(to_dict) else dict(token)
-        data_encoded = getattr(token, "data_encoded", None)
+        self.store_many(run_id, ((token_type, token, role),))
+
+    def store_many(
+        self, run_id: str, entries: Iterable[Tuple[str, Any, str]]
+    ) -> None:
+        """Persist ``(token_type, token, role)`` entries of one protocol step.
+
+        Equivalent to :meth:`store` for each entry in order -- consecutive
+        sequence numbers, the same keys and bytes -- under one lock, one
+        clock read and one backend ``put_many``.  The batch is as atomic as
+        the backend's ``put_many``: when a looping backend fails midway, the
+        records it kept stay stored and indexed, and the error propagates.
+        """
+        pending = []
+        for token_type, token, role in entries:
+            if role not in (self.ROLE_GENERATED, self.ROLE_RECEIVED):
+                raise PersistenceError(f"unknown evidence role {role!r}")
+            pending.append((token_type, role, self._token_text(token)))
+        if not pending:
+            return
+        run_text = codec.escape_str(run_id)
         with self._lock:
-            record = StoredEvidence(
-                run_id=run_id,
-                token_type=token_type,
-                role=role,
-                stored_at=self._clock.now(),
-                token=token_mapping,
-            )
-            payload = record.to_dict()
-            if callable(data_encoded):
-                payload["token"] = data_encoded()  # spliced pre-computed bytes
-            sequence = self._next_sequence_locked(run_id)
-            key = self._key_for(run_id, token_type, role, sequence)
-            encoded = codec.encode(payload)
-            self._backend.put(key, encoded)
-            if self._scan_backed:
-                self._sequences[run_id] = sequence + 1
-                self._decoded[key] = record
-            else:
-                self._register_locked(key, record, len(encoded))
-            return record
+            stored_at = codec.encode_text(self._clock.now())
+            first = self._next_sequence_locked(run_id)
+            items = []
+            for offset, (token_type, role, token_text) in enumerate(pending):
+                # The record envelope, keys pre-sorted: the canonical encoding
+                # of StoredEvidence.to_dict() around the token's own text.
+                record = (
+                    f'{{"role":"{role}","run_id":{run_text},'
+                    f'"stored_at":{stored_at},"token":{token_text},'
+                    f'"token_type":{codec.escape_str(token_type)}}}'
+                )
+                key = self._key_for(run_id, token_type, role, first + offset)
+                items.append((key, record.encode("utf-8")))
+            written = 0
+            try:
+                self._backend.put_many(items)
+                written = len(items)
+            except Exception:
+                # Only some backends write a batch all-or-nothing; a looping
+                # one keeps the records before the failing put.  Account for
+                # those, so the next write does not reuse their sequence
+                # numbers and the totals still match the backend.
+                for key, _ in items:
+                    if self._backend.get(key) is None:
+                        break
+                    written += 1
+                raise
+            finally:
+                if self._scan_backed:
+                    self._sequences[run_id] = first + written
+                else:
+                    for (key, encoded), (token_type, _, _) in zip(
+                        items[:written], pending
+                    ):
+                        self._register_locked(
+                            key, run_id, token_type, len(encoded)
+                        )
+
+    @staticmethod
+    def _token_text(token: Any) -> str:
+        """Canonical text of a token: its cached encoding when it has one."""
+        data_encoded = getattr(token, "data_encoded", None)
+        if callable(data_encoded):
+            return data_encoded().text
+        to_dict = getattr(token, "to_dict", None)
+        return codec.encode_text(dict(to_dict() if callable(to_dict) else token))
 
     def _record_for_locked(self, key: str) -> StoredEvidence:
         """Decoded record for ``key``, memoised; caller must hold the lock."""
@@ -313,8 +368,8 @@ class EvidenceStore:
 
         Used by the evidence-space-overhead benchmark (paper Section 6 names
         "the space overhead of evidence generated" as a cost dimension).
-        Maintained as a running total from the per-record size cache, so no
-        backend reads or re-encodes happen here.  In scan-backed mode the
+        Maintained as a running total of the bytes written, so no backend
+        reads or re-encodes happen here.  In scan-backed mode the
         total is one backend aggregate query instead (SQL ``SUM`` over the
         owner's key range).
         """

@@ -18,10 +18,12 @@ Concurrency:
   block the single writer and vice versa, which is the sharing model the
   multi-process benchmarks exercise.
 
-Durability: every ``put``/``delete`` commits its own transaction, so a
-killed process can never leave a torn record -- SQLite's journal gives
-the same record-or-nothing guarantee the crash-atomic ``FileBackend``
-provides via fsync+rename.
+Durability: every ``put``/``delete`` commits its own transaction and
+``put_many`` commits one for the whole batch (rolled back as a whole on
+any error), so a killed process can never leave a torn record or half a
+batch -- SQLite's journal gives the same record-or-nothing guarantee the
+crash-atomic ``FileBackend`` provides via fsync+rename.  Every
+``sqlite3.Error`` surfaces as :class:`~repro.errors.PersistenceError`.
 """
 
 from __future__ import annotations
@@ -29,10 +31,15 @@ from __future__ import annotations
 import os
 import sqlite3
 import threading
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import PersistenceError
 from repro.persistence.storage import StorageBackend
+
+_UPSERT = (
+    "INSERT INTO kv(key, value) VALUES(?, ?) "
+    "ON CONFLICT(key) DO UPDATE SET value=excluded.value"
+)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS kv (
@@ -85,37 +92,45 @@ class SQLiteBackend(StorageBackend):
     # -- core interface ------------------------------------------------------
 
     def put(self, key: str, value: bytes) -> None:
-        if not isinstance(value, (bytes, bytearray)):
-            raise PersistenceError("storage values must be bytes")
+        self.put_many(((key, value),))
+
+    def put_many(self, items: Iterable[Tuple[str, bytes]]) -> None:
+        """Upsert the batch in one transaction: all of it or none of it."""
+        rows = []
+        for key, value in items:
+            if not isinstance(value, (bytes, bytearray)):
+                raise PersistenceError("storage values must be bytes")
+            rows.append((key, sqlite3.Binary(bytes(value))))
         with self._lock:
             try:
-                self._connection.execute(
-                    "INSERT INTO kv(key, value) VALUES(?, ?) "
-                    "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                    (key, sqlite3.Binary(bytes(value))),
-                )
-                self._connection.commit()
+                with self._connection:  # commits, or rolls back on error
+                    self._connection.executemany(_UPSERT, rows)
             except sqlite3.Error as error:
-                raise PersistenceError(f"sqlite put failed for {key!r}: {error}")
+                keys = ", ".join(repr(key) for key, _ in rows)
+                raise PersistenceError(f"sqlite put failed for {keys}: {error}")
 
     def get(self, key: str) -> Optional[bytes]:
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT value FROM kv WHERE key = ?", (key,)
-            ).fetchone()
-        return bytes(row[0]) if row is not None else None
+        rows = self._query("SELECT value FROM kv WHERE key = ?", (key,))
+        return bytes(rows[0][0]) if rows else None
 
     def delete(self, key: str) -> None:
         with self._lock:
-            self._connection.execute("DELETE FROM kv WHERE key = ?", (key,))
-            self._connection.commit()
+            try:
+                with self._connection:
+                    self._connection.execute("DELETE FROM kv WHERE key = ?", (key,))
+            except sqlite3.Error as error:
+                raise PersistenceError(f"sqlite delete failed for {key!r}: {error}")
 
     def keys(self) -> List[str]:
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT key FROM kv ORDER BY seq"
-            ).fetchall()
+        rows = self._query("SELECT key FROM kv ORDER BY seq")
         return [row[0] for row in rows]
+
+    def _query(self, sql: str, params: tuple = ()) -> list:
+        with self._lock:
+            try:
+                return self._connection.execute(sql, params).fetchall()
+            except sqlite3.Error as error:
+                raise PersistenceError(f"sqlite read failed: {error}")
 
     # -- indexed prefix scans ------------------------------------------------
 
@@ -127,28 +142,22 @@ class SQLiteBackend(StorageBackend):
 
     def scan(self, prefix: str) -> List[Tuple[str, bytes]]:
         clause, params = self._range_clause(prefix)
-        with self._lock:
-            rows = self._connection.execute(
-                f"SELECT key, value FROM kv WHERE {clause} ORDER BY key", params
-            ).fetchall()
+        rows = self._query(
+            f"SELECT key, value FROM kv WHERE {clause} ORDER BY key", params
+        )
         return [(row[0], bytes(row[1])) for row in rows]
 
     def scan_keys(self, prefix: str) -> List[str]:
         clause, params = self._range_clause(prefix)
-        with self._lock:
-            rows = self._connection.execute(
-                f"SELECT key FROM kv WHERE {clause} ORDER BY key", params
-            ).fetchall()
+        rows = self._query(f"SELECT key FROM kv WHERE {clause} ORDER BY key", params)
         return [row[0] for row in rows]
 
     def scan_stats(self, prefix: str) -> Tuple[int, int]:
         clause, params = self._range_clause(prefix)
-        with self._lock:
-            count, total = self._connection.execute(
-                f"SELECT COUNT(*), COALESCE(SUM(LENGTH(value)), 0) "
-                f"FROM kv WHERE {clause}",
-                params,
-            ).fetchone()
+        ((count, total),) = self._query(
+            f"SELECT COUNT(*), COALESCE(SUM(LENGTH(value)), 0) FROM kv WHERE {clause}",
+            params,
+        )
         return int(count), int(total)
 
     # -- lifecycle -----------------------------------------------------------

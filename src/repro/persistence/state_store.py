@@ -8,23 +8,32 @@ agreed version history so "a subsequent reconstruction of information state
 is a state previously agreed by the organisations who share the information"
 (Section 3.4) can be demonstrated.
 
-The version history is itself durable: every :meth:`record_version` persists
-the per-object digest sequence through the backing
-:class:`~repro.persistence.storage.StorageBackend` (under
-``state:{owner}:history:{object_id}``, with an object index at
-``state:{owner}:objects``), and reopening the store against the same backend
-rebuilds the history — so a restarted replica resumes each shared object at
-its last *agreed* version instead of re-registering from configuration.
-Alongside each agreed version the store can keep the signed *outcome record*
-that produced it (:meth:`record_outcome`), which is what restart-time resync
-serves to stale peers: the full outcome payload plus evidence tokens, so a
-catch-up apply is signature-checked exactly like a live one.
+The version history is itself durable.  Key layout in the backing
+:class:`~repro.persistence.storage.StorageBackend`:
+
+``state:{owner}:snapshot:{digest hex}``
+    the canonical encoding of a state;
+``state:{owner}:history:{object_id}:{version:012d}``
+    the digest agreed as that version -- one small entry per version, so
+    recording a version costs the same at version 1 and at version 10 000;
+``state:{owner}:outcome:{object_id}:{version}``
+    the signed *outcome record* that produced the version, which is what
+    restart-time resync serves to stale peers: the full outcome payload plus
+    evidence tokens, so a catch-up apply is signature-checked exactly like a
+    live one.
+
+Write-path contract: :meth:`StateStore.record_version` writes the snapshot,
+the history entry and (when given) the outcome record in that order through
+one ``put_many``.  Reopening the store against the same backend rebuilds the
+history from a prefix scan of the history entries — so a restarted replica
+resumes each shared object at its last *agreed* version instead of
+re-registering from configuration.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import codec
 from repro.crypto.hashing import secure_hash
@@ -38,24 +47,41 @@ class StateStore:
     def __init__(self, owner: str, backend: Optional[StorageBackend] = None) -> None:
         self.owner = owner
         self._backend = backend or InMemoryBackend()
-        self._history: Dict[str, List[str]] = {}
+        self._history: Dict[str, List[bytes]] = {}
+        self._agreed: Dict[str, Set[bytes]] = {}
         self._lock = threading.RLock()
         self._load_history()
 
     def _load_history(self) -> None:
         """Rebuild the per-object version history from the backend.
 
-        The object index and per-object history lists are ordinary backend
-        values (no prefix scan needed), so any backend — memory, file or
-        SQLite — makes the agreed history survive a restart.
+        One prefix scan over the history entries (every backend has one, if
+        only the default walk over ``keys()``), so memory, file and SQLite
+        backends all make the agreed history survive a restart.  The scan is
+        key-sorted and versions are zero-padded, so each object's entries
+        arrive in version order; a gap means a lost write and fails closed.
+        So does a key without the version suffix: it was written by the
+        earlier one-list-per-object layout, which this store cannot read and
+        must not silently forget.
         """
-        raw_index = self._backend.get(self._objects_key())
-        if raw_index is None:
-            return
-        for object_id in codec.decode(raw_index):
-            raw_history = self._backend.get(self._history_key(object_id))
-            if raw_history is not None:
-                self._history[object_id] = list(codec.decode(raw_history))
+        prefix = f"state:{self.owner}:history:"
+        for key, digest in self._backend.scan(prefix):
+            object_id, _, version = key[len(prefix):].rpartition(":")
+            if not (len(version) == 12 and version.isdigit()):
+                raise StateStoreError(
+                    f"{key!r} is not a per-version history entry: the store "
+                    f"of {self.owner!r} was written in the earlier "
+                    "one-list-per-object layout, which is not supported"
+                )
+            if int(version) != self.version_count(object_id):
+                raise StateStoreError(
+                    f"history of {object_id!r} is broken at entry {version!r}"
+                )
+            self._append(object_id, digest)
+
+    def _append(self, object_id: str, digest: bytes) -> None:
+        self._history.setdefault(object_id, []).append(digest)
+        self._agreed.setdefault(object_id, set()).add(digest)
 
     # -- digest-addressed snapshots -------------------------------------------
 
@@ -66,10 +92,9 @@ class StateStore:
         two parties that agree on a state value necessarily agree on its
         digest.
         """
-        encoded = codec.encode(state)
-        digest = secure_hash(encoded)
+        digest, item = self._snapshot_item(state)
         with self._lock:
-            self._backend.put(self._snapshot_key(digest), encoded)
+            self._backend.put(*item)
         return digest
 
     def resolve_digest(self, digest: bytes) -> Any:
@@ -92,53 +117,68 @@ class StateStore:
     def _snapshot_key(self, digest: bytes) -> str:
         return f"state:{self.owner}:snapshot:{digest.hex()}"
 
-    def _objects_key(self) -> str:
-        return f"state:{self.owner}:objects"
+    def _snapshot_item(self, state: Any) -> Tuple[bytes, Tuple[str, bytes]]:
+        """The digest of ``state`` and the backend item that stores it."""
+        encoded = codec.encode(state)
+        digest = secure_hash(encoded)
+        return digest, (self._snapshot_key(digest), encoded)
 
-    def _history_key(self, object_id: str) -> str:
-        return f"state:{self.owner}:history:{object_id}"
+    def _history_key(self, object_id: str, version: int) -> str:
+        return f"state:{self.owner}:history:{object_id}:{version:012d}"
 
     def _outcome_key(self, object_id: str, version: int) -> str:
         return f"state:{self.owner}:outcome:{object_id}:{version}"
 
+    def _outcome_item(
+        self, object_id: str, version: int, record: Dict[str, Any]
+    ) -> Tuple[str, bytes]:
+        return self._outcome_key(object_id, version), codec.encode(record)
+
     # -- per-object agreed history ---------------------------------------------
 
-    def record_version(self, object_id: str, state: Any) -> Tuple[int, bytes]:
+    def record_version(
+        self,
+        object_id: str,
+        state: Any,
+        outcome_version: Optional[int] = None,
+        outcome_record: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[int, bytes]:
         """Record ``state`` as the next agreed version of ``object_id``.
 
-        Returns ``(version_number, digest)``.
+        ``outcome_record`` -- when given -- is the signed outcome that agreed
+        this state, persisted under ``outcome_version`` in the same backend
+        write (see :meth:`record_outcome`).  Returns
+        ``(version_number, digest)``.
         """
-        digest = self.store_state(state)
+        digest, snapshot = self._snapshot_item(state)
         with self._lock:
-            new_object = object_id not in self._history
-            history = self._history.setdefault(object_id, [])
-            history.append(digest.hex())
-            self._backend.put(self._history_key(object_id), codec.encode(history))
-            if new_object:
-                self._backend.put(
-                    self._objects_key(), codec.encode(sorted(self._history))
+            version = self.version_count(object_id)
+            items = [snapshot, (self._history_key(object_id, version), digest)]
+            if outcome_record is not None:
+                items.append(
+                    self._outcome_item(object_id, outcome_version, outcome_record)
                 )
-            return len(history) - 1, digest
+            self._backend.put_many(items)
+            self._append(object_id, digest)
+            return version, digest
 
     def version_count(self, object_id: str) -> int:
         with self._lock:
-            return len(self._history.get(object_id, []))
+            return len(self._history.get(object_id, ()))
 
     def version_digest(self, object_id: str, version: int) -> bytes:
         with self._lock:
-            history = self._history.get(object_id, [])
+            history = self._history.get(object_id, ())
             if version < 0 or version >= len(history):
                 raise StateStoreError(
                     f"{object_id!r} has no agreed version {version}"
                 )
-            return bytes.fromhex(history[version])
+            return history[version]
 
     def latest_digest(self, object_id: str) -> Optional[bytes]:
         with self._lock:
-            history = self._history.get(object_id, [])
-            if not history:
-                return None
-            return bytes.fromhex(history[-1])
+            history = self._history.get(object_id)
+            return history[-1] if history else None
 
     def state_at_version(self, object_id: str, version: int) -> Any:
         """Reconstruct the agreed state of ``object_id`` at ``version``."""
@@ -146,9 +186,9 @@ class StateStore:
 
     def is_agreed_state(self, object_id: str, state: Any) -> bool:
         """Return ``True`` if ``state`` matches any previously agreed version."""
-        digest_hex = self.digest_of(state).hex()
+        digest = self.digest_of(state)
         with self._lock:
-            return digest_hex in self._history.get(object_id, [])
+            return digest in self._agreed.get(object_id, ())
 
     def object_ids(self) -> List[str]:
         with self._lock:
@@ -166,11 +206,13 @@ class StateStore:
         canonical proposal and outcome payloads, and the evidence tokens in
         their dictionary form.  Stored alongside the version history so
         restart-time resync can serve any missed version verbatim.
+
+        The engine writes outcome records through :meth:`record_version`;
+        this separate write has no caller left in ``src/`` and stays only
+        because ``nrbench/layers.py`` names it -- delete it with that entry.
         """
         with self._lock:
-            self._backend.put(
-                self._outcome_key(object_id, version), codec.encode(record)
-            )
+            self._backend.put(*self._outcome_item(object_id, version, record))
 
     def outcome_record(self, object_id: str, version: int) -> Optional[Dict[str, Any]]:
         """The stored outcome record for ``version``, or ``None`` if absent."""

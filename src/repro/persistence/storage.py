@@ -7,13 +7,20 @@ records through a :class:`StorageBackend`.  Two backends are provided: a
 thread-safe in-memory backend for tests and simulation, and a file backend
 that writes one file per record under a directory so evidence survives
 process restarts.
+
+Write-path contract: a store persists one protocol step's records with a
+single :meth:`StorageBackend.put_many` call.  The default loops
+:meth:`~StorageBackend.put` (the file backend keeps it: each record is
+already crash-atomic on its own); the in-memory backend takes its lock
+once, and the SQLite backend writes the batch in one transaction --
+all of it or none of it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import PersistenceError
 
@@ -37,6 +44,15 @@ class StorageBackend:
 
     def put(self, key: str, value: bytes) -> None:
         raise NotImplementedError
+
+    def put_many(self, items: Iterable[Tuple[str, bytes]]) -> None:
+        """Write ``(key, value)`` pairs in order, as :meth:`put` would.
+
+        Backends override this to make a batch cheaper than its puts (one
+        lock, one transaction); only those that say so make it atomic.
+        """
+        for key, value in items:
+            self.put(key, value)
 
     def get(self, key: str) -> Optional[bytes]:
         raise NotImplementedError
@@ -94,10 +110,16 @@ class InMemoryBackend(StorageBackend):
         self._lock = threading.RLock()
 
     def put(self, key: str, value: bytes) -> None:
-        if not isinstance(value, (bytes, bytearray)):
-            raise PersistenceError("storage values must be bytes")
+        self.put_many(((key, value),))
+
+    def put_many(self, items: Iterable[Tuple[str, bytes]]) -> None:
+        batch = list(items)
+        for _, value in batch:
+            if not isinstance(value, (bytes, bytearray)):
+                raise PersistenceError("storage values must be bytes")
         with self._lock:
-            self._data[key] = bytes(value)
+            for key, value in batch:
+                self._data[key] = bytes(value)
 
     def get(self, key: str) -> Optional[bytes]:
         with self._lock:

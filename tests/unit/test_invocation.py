@@ -7,6 +7,7 @@ from repro.core.invocation import (
     B2BInvocation,
     B2BInvocationHandler,
     NR_INVOCATION_PROTOCOL,
+    nro_request_from,
 )
 from repro.container.interceptor import Invocation
 from repro.core.messages import B2BProtocolMessage
@@ -59,6 +60,26 @@ class TestSuccessfulInvocation:
         assert nro_response.issuer == server.uri
         assert client.evidence_verifier.verify(nrr_request)
         assert client.evidence_verifier.verify(nro_response)
+
+    def test_outcome_hands_back_the_request_token_without_a_store_read(
+        self, client, server, monkeypatch
+    ):
+        store = client.evidence_store
+        reads = []
+        monkeypatch.setattr(
+            store, "tokens_of_type", lambda *args: reads.append(args) or []
+        )
+        outcome = client.invoke_non_repudiably(server.uri, "QuoteService", "quote", ["roof"])
+        assert reads == []
+        monkeypatch.undo()
+        nro_request = outcome.evidence[TokenType.NRO_REQUEST.value]
+        assert nro_request.issuer == client.uri
+        assert client.evidence_verifier.verify(nro_request)
+        # The stored copy, for callers that do not hold the token, is the same.
+        assert nro_request_from(client.coordinator.services, outcome.run_id) == nro_request
+        assert nro_request_from(client.coordinator.services, "inv-unknown") is None
+        types = [r.token_type for r in client.evidence_for_run(outcome.run_id)]
+        assert types == ["nro-request", "nrr-request", "nro-response", "nrr-response"]
 
     def test_audit_trails_written_on_both_sides(self, client, server):
         outcome = client.invoke_non_repudiably(server.uri, "QuoteService", "quote", ["mirror"])

@@ -300,11 +300,60 @@ class TestEvidenceStore:
         assert store.tokens_of_type("run-1", "nr-outcome") == []
 
     def test_decoded_records_are_memoised(self):
-        store = EvidenceStore("urn:org:a")
+        # Writing keeps no decoded copy; the first read decodes the record
+        # from the backend and later reads are served from the memo.
+        class CountingBackend(InMemoryBackend):
+            gets = 0
+
+            def get(self, key):
+                self.gets += 1
+                return super().get(key)
+
+        backend = CountingBackend()
+        store = EvidenceStore("urn:org:a", backend=backend)
         store.store("run-1", "nro-request", {"token_id": "t1"})
+        assert backend.gets == 0
         first = store.evidence_for_run("run-1")
-        second = store.evidence_for_run("run-1")
+        assert backend.gets == 1
+        second = store.tokens_of_type("run-1", "nro-request")
+        assert backend.gets == 1
         assert first[0] is second[0]  # decoded once, served from the memo
+
+    def test_store_splices_a_token_that_carries_its_encoding(self, monkeypatch):
+        from repro import codec
+        from repro.core.evidence import EvidenceBuilder, EvidenceToken, TokenType
+        from repro.crypto.signature import Signer, get_scheme
+
+        builder = EvidenceBuilder(
+            party="urn:org:a",
+            signer=Signer(get_scheme("rsa").generate_keypair(bits=512).private),
+            clock=SimulatedClock(start=3.0),
+        )
+        token = builder.build(
+            TokenType.NRO_REQUEST, "run-1", 1, "urn:org:b", {"x": 1}, {"nonce": b"\x01"}
+        )
+
+        def forbidden(self):
+            raise AssertionError("the write path must not rebuild the token's dict")
+
+        monkeypatch.setattr(EvidenceToken, "to_dict", forbidden)
+        backend = InMemoryBackend()
+        store = EvidenceStore("urn:org:a", backend=backend, clock=SimulatedClock(7.5))
+        store.store("run-1", token.token_type, token, role=store.ROLE_GENERATED)
+        store.store_many("run-1", [(token.token_type, token, store.ROLE_RECEIVED)])
+        generated, received = (backend.get(key) for key in backend.keys())
+        assert generated == codec.encode(
+            {
+                "run_id": "run-1",
+                "token_type": "nro-request",
+                "role": "generated",
+                "stored_at": 7.5,
+                "token": token.data_encoded(),
+            }
+        )
+        assert received == generated.replace(b'"generated"', b'"received"')
+        (first, second) = store.evidence_for_run("run-1")
+        assert EvidenceToken.from_dict(first.token) == token
 
     def test_unknown_run_returns_empty(self):
         assert EvidenceStore("urn:org:a").evidence_for_run("missing") == []
@@ -356,6 +405,19 @@ class TestStateStore:
         store.record_version("b-doc", {})
         store.record_version("a-doc", {})
         assert store.object_ids() == ["a-doc", "b-doc"]
+
+    def test_history_survives_reopen_and_a_gap_fails_closed(self):
+        backend = InMemoryBackend()
+        store = StateStore("urn:org:a", backend=backend)
+        for rev in range(3):
+            store.record_version("doc", {"rev": rev})
+        reopened = StateStore("urn:org:a", backend=backend)
+        assert reopened.version_count("doc") == 3
+        assert reopened.latest_digest("doc") == store.latest_digest("doc")
+        assert StateStore("urn:org:b", backend=backend).object_ids() == []
+        backend.delete("state:urn:org:a:history:doc:000000000001")
+        with pytest.raises(StateStoreError):
+            StateStore("urn:org:a", backend=backend)
 
     def test_digest_of_matches_store_state(self):
         store = StateStore("urn:org:a")

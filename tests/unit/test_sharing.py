@@ -57,6 +57,33 @@ class TestAgreedUpdates:
         assert set(outcome.decisions) == {b.uri, c.uri}
         assert all(decision.accepted for decision in outcome.decisions.values())
 
+    def test_one_backend_write_per_protocol_step(self, sharing_domain, monkeypatch):
+        from repro.persistence.storage import InMemoryBackend
+
+        a, b, c = orgs(sharing_domain)
+        batches = []
+        original = InMemoryBackend.put_many
+
+        def recording(self, items):
+            items = list(items)
+            batches.append([key.split(":", 1)[0] for key, _ in items])
+            original(self, items)
+
+        monkeypatch.setattr(InMemoryBackend, "put_many", recording)
+        outcome = a.propose_update("spec", {"sections": {"k": "v"}, "revision": 1})
+        monkeypatch.undo()
+        evidence = sorted(len(batch) for batch in batches if batch[0] == "evidence")
+        # Proposer: NRO_update, the two decisions together, NR_outcome.  Each
+        # responder: NRO_update, its decision, the outcome with both decisions.
+        assert evidence == [1, 1, 1, 1, 1, 1, 2, 3, 3]
+        # Each replica applies with one write: snapshot + history entry.
+        assert [batch for batch in batches if batch[0] == "state"] == [["state"] * 2] * 3
+        for org in (b, c):
+            records = org.evidence_for_run(outcome.run_id)
+            assert [r.token_type for r in records] == [
+                "nro-update", "nr-decision", "nr-outcome", "nr-decision", "nr-decision",
+            ]
+
     def test_evidence_held_by_proposer_and_peers(self, sharing_domain):
         a, b, c = orgs(sharing_domain)
         outcome = a.propose_update("spec", {"sections": {"k": "v"}, "revision": 1})

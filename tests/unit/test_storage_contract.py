@@ -11,8 +11,11 @@ selector behind ``TrustDomain.create(storage=...)``.
 
 import pytest
 
-from repro.errors import PersistenceError
+from repro.clock import SimulatedClock
+from repro.errors import PersistenceError, StateStoreError
+from repro.persistence.evidence_store import EvidenceStore
 from repro.persistence.sqlite_backend import SQLiteBackend
+from repro.persistence.state_store import StateStore
 from repro.persistence.storage import (
     FileBackend,
     InMemoryBackend,
@@ -23,18 +26,31 @@ BACKENDS = ["memory", "file", "sqlite"]
 
 
 @pytest.fixture
-def backend(request, tmp_path):
+def open_backend(request, tmp_path):
+    """``open_backend(name)`` opens -- or reopens -- the store called ``name``."""
     kind = request.param
-    if kind == "memory":
-        yield InMemoryBackend()
-    elif kind == "file":
-        yield FileBackend(tmp_path / "store")
-    else:
-        with SQLiteBackend(tmp_path / "store.db") as db:
-            yield db
+    memory = {}
+    opened = []
+
+    def open_(name="store"):
+        if kind == "memory":
+            return memory.setdefault(name, InMemoryBackend())
+        if kind == "file":
+            return FileBackend(tmp_path / name)
+        opened.append(SQLiteBackend(tmp_path / f"{name}.db"))
+        return opened[-1]
+
+    yield open_
+    for db in opened:
+        db.close()
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.fixture
+def backend(open_backend):
+    return open_backend()
+
+
+@pytest.mark.parametrize("open_backend", BACKENDS, indirect=True)
 class TestBackendContract:
     def test_put_get_delete_contains(self, backend):
         assert backend.get("k") is None
@@ -99,7 +115,213 @@ class TestBackendContract:
         assert backend.scan_keys("p") == ["p", "p\x7f"]
 
 
+class _PutSpy:
+    """A backend that records every batch written through it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.batches = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def put(self, key, value):
+        self.put_many([(key, value)])
+
+    def put_many(self, items):
+        self.batches.append(list(items))
+        self._inner.put_many(self.batches[-1])
+
+
+class _LoopingFlaky:
+    """A backend that writes a batch put by put and fails the ``fail_at``-th."""
+
+    def __init__(self, inner, fail_at):
+        self._inner = inner
+        self._puts_left = fail_at
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def put(self, key, value):
+        self._puts_left -= 1
+        if self._puts_left == 0:
+            raise PersistenceError("disk full")
+        self._inner.put(key, value)
+
+    def put_many(self, items):
+        for key, value in items:
+            self.put(key, value)
+
+
+@pytest.mark.parametrize("open_backend", BACKENDS, indirect=True)
+class TestWritePathContract:
+    """Batched writes are the same writes; history costs O(1) per version."""
+
+    def test_put_many_is_the_puts_in_order(self, open_backend):
+        items = [("c", b"1"), ("a", b"2"), ("b", b""), ("a", b"3")]
+        batched, looped = open_backend("batched"), open_backend("looped")
+        batched.put_many(iter(items))
+        for key, value in items:
+            looped.put(key, value)
+        assert batched.keys() == looped.keys() == ["c", "a", "b"]
+        assert batched.scan("") == looped.scan("")
+        batched.put_many([])  # an empty batch is a no-op
+        assert batched.keys() == ["c", "a", "b"]
+
+    def test_put_many_values_must_be_bytes(self, open_backend):
+        with pytest.raises(PersistenceError):
+            open_backend().put_many([("k", "not bytes")])
+
+    def test_store_many_is_the_store_calls_in_order(self, open_backend):
+        first = [
+            ("nr-outcome", {"token_id": "o"}, EvidenceStore.ROLE_RECEIVED),
+            ("nr-decision", {"token_id": "d1"}, EvidenceStore.ROLE_RECEIVED),
+            ("nr-decision", {"token_id": "d2"}, EvidenceStore.ROLE_GENERATED),
+        ]
+        second = [("nr-decision", {"token_id": "d3"}, EvidenceStore.ROLE_RECEIVED)]
+        batched_backend, looped_backend = open_backend("batched"), open_backend("looped")
+        batched = EvidenceStore("urn:org:a", batched_backend, SimulatedClock(start=5.0))
+        looped = EvidenceStore("urn:org:a", looped_backend, SimulatedClock(start=5.0))
+        for store in (batched, looped):
+            store.store("run-0", "nro-update", {"token_id": "u"})
+        for entries in (first, [], second):
+            batched.store_many("run-1", entries)
+            for token_type, token, role in entries:
+                looped.store("run-1", token_type, token, role=role)
+        assert batched_backend.keys() == looped_backend.keys()  # keys, sequence numbers
+        assert batched_backend.scan("") == looped_backend.scan("")  # bytes
+        assert batched.evidence_for_run("run-1") == looped.evidence_for_run("run-1")
+        assert [r.token["token_id"] for r in batched.evidence_for_run("run-1")] == [
+            "o", "d1", "d2", "d3",
+        ]
+        assert batched.tokens_of_type("run-1", "nr-decision") == looped.tokens_of_type(
+            "run-1", "nr-decision"
+        )
+        assert [
+            r.token["token_id"] for r in batched.tokens_of_type("run-1", "nr-decision")
+        ] == ["d1", "d2", "d3"]
+        assert batched.storage_bytes() == looped.storage_bytes() > 0
+        assert batched.total_records() == looped.total_records() == 5
+        assert batched.run_ids() == looped.run_ids() == ["run-0", "run-1"]
+
+    def test_store_many_rejects_the_whole_batch_on_a_bad_role(self, open_backend):
+        store = EvidenceStore("urn:org:a", open_backend())
+        with pytest.raises(PersistenceError):
+            store.store_many(
+                "run-1",
+                [("t", {}, EvidenceStore.ROLE_RECEIVED), ("t", {}, "bystander")],
+            )
+        assert store.total_records() == 0
+
+    def test_a_batch_that_fails_midway_keeps_its_sequence_numbers(self, open_backend):
+        # A backend whose put_many is not atomic keeps the records written
+        # before the failure; the next write must not reuse their keys.
+        backend = open_backend()
+        store = EvidenceStore("urn:org:a", _LoopingFlaky(backend, fail_at=4))
+        store.store("run-1", "t", {"token_id": "a"})
+        with pytest.raises(PersistenceError, match="disk full"):
+            store.store_many(
+                "run-1",
+                [("t", {"token_id": i}, EvidenceStore.ROLE_RECEIVED) for i in "bcd"],
+            )
+        store.store("run-1", "u", {"token_id": "e"})
+        prefix = "evidence:urn:org:a:run-1:"
+        assert backend.keys() == [
+            f"{prefix}t:received:0",
+            f"{prefix}t:received:1",
+            f"{prefix}t:received:2",
+            f"{prefix}u:received:3",
+        ]
+        for view in (store, EvidenceStore("urn:org:a", backend)):
+            assert [r.token["token_id"] for r in view.evidence_for_run("run-1")] == [
+                "a", "b", "c", "e",
+            ]
+            assert [r.token["token_id"] for r in view.tokens_of_type("run-1", "t")] == [
+                "a", "b", "c",
+            ]
+            assert view.total_records() == 4
+            assert view.storage_bytes() == sum(len(v) for _, v in backend.scan(""))
+
+    def test_long_history_reopens_intact_and_costs_the_same_per_version(
+        self, open_backend
+    ):
+        backend = _PutSpy(open_backend("state"))
+        store = StateStore("urn:org:a", backend)
+        states = [{"rev": f"{version:04d}"} for version in range(300)]
+        digests = [store.record_version("doc", state)[1] for state in states]
+        store.record_version("other:doc", {"rev": 0})
+        assert len(backend.batches) == 301  # one backend write per version
+
+        def written(version):  # bytes put for one version: snapshot + history
+            return sum(len(key) + len(value) for key, value in backend.batches[version])
+
+        assert written(299) == written(1)
+
+        reopened = StateStore("urn:org:a", open_backend("state"))
+        assert reopened.object_ids() == ["doc", "other:doc"]
+        assert reopened.version_count("doc") == 300
+        assert reopened.latest_digest("doc") == digests[-1]
+        for version, (state, digest) in enumerate(zip(states, digests)):
+            assert reopened.version_digest("doc", version) == digest
+            assert reopened.state_at_version("doc", version) == state
+        assert reopened.is_agreed_state("doc", {"rev": "0073"})
+        assert not reopened.is_agreed_state("doc", {"rev": "0300"})
+        assert reopened.record_version("doc", {"rev": "next"})[0] == 300
+
+    def test_a_store_in_the_earlier_history_layout_is_refused_by_name(
+        self, open_backend
+    ):
+        # Before per-version entries the whole digest list sat under one key.
+        backend = open_backend("state")
+        backend.put("state:urn:org:a:history:doc", b'[{"__bytes__":"00"}]')
+        with pytest.raises(StateStoreError, match="earlier one-list-per-object layout"):
+            StateStore("urn:org:a", backend)
+        StateStore("urn:org:b", backend)  # another owner's store is unaffected
+
+    def test_outcome_record_rides_the_version_write(self, open_backend):
+        store = StateStore("urn:org:a", open_backend("state"))
+        store.record_version("doc", {"rev": 0})
+        record = {"run_id": "run-1", "new_version": 7, "decisions": []}
+        store.record_version("doc", {"rev": 1}, outcome_version=7, outcome_record=record)
+        store.record_outcome("doc", 8, {"run_id": "run-2"})
+        reopened = StateStore("urn:org:a", open_backend("state"))
+        assert reopened.outcome_record("doc", 7) == record
+        assert reopened.outcome_record("doc", 8) == {"run_id": "run-2"}
+        assert reopened.outcome_record("doc", 1) is None
+        assert reopened.version_count("doc") == 2
+
+
 class TestSQLiteBackend:
+    def test_put_many_is_all_or_nothing(self, tmp_path):
+        with SQLiteBackend(tmp_path / "kv.db") as db:
+            db.put("kept", b"before")
+            # Rejected before the transaction, and rejected inside it (NULL
+            # key): neither leaves any of its batch visible.
+            for bad in (("k2", "not bytes"), (None, b"v")):
+                with pytest.raises(PersistenceError):
+                    db.put_many([("k1", b"v1"), ("kept", b"after"), bad, ("k3", b"v3")])
+                assert db.keys() == ["kept"]
+                assert db.get("kept") == b"before"
+            db.put_many([("k1", b"v1")])  # the connection is still usable
+            assert db.keys() == ["kept", "k1"]
+
+    def test_sqlite_errors_surface_as_persistence_errors(self, tmp_path):
+        db = SQLiteBackend(tmp_path / "kv.db")
+        db.put("k", b"v")
+        db.close()
+        for call in (
+            lambda: db.get("k"),
+            lambda: db.delete("k"),
+            lambda: db.keys(),
+            lambda: db.scan("k"),
+            lambda: db.scan_keys("k"),
+            lambda: db.scan_stats("k"),
+            lambda: db.put("k", b"v"),
+        ):
+            with pytest.raises(PersistenceError):
+                call()
+
     def test_supports_prefix_scan_flag(self, tmp_path):
         with SQLiteBackend(tmp_path / "s.db") as db:
             assert db.supports_prefix_scan
