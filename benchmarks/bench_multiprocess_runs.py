@@ -87,7 +87,6 @@ def worker_main(
             max_consecutive_drops=3,
             seed=b"mp-%d" % index,
         ),
-        async_runs=True,
         evidence_backend_factory=backend_for,
         durable_runs=durable,
         run_journal_backend_factory=journal_backend_for if durable else None,

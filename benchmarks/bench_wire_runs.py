@@ -115,7 +115,7 @@ def proposer_main(directory: str, index: int, updates: int) -> None:
         peers={uri: (peer["host"], peer["port"]) for uri in PEER_PARTIES},
     )
     domain = TrustDomain.create(
-        [me] + PEER_PARTIES, transport=transport, scheme="hmac", async_runs=True
+        [me] + PEER_PARTIES, transport=transport, scheme="hmac"
     )
     members = [me] + PEER_PARTIES
     for update in range(updates):

@@ -1,6 +1,6 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every benchmark corresponds to an entry in the experiment index of DESIGN.md
+Each benchmark module's docstring names the experiment it runs
 (F1-F8 reproduce the paper's figures as working scenarios; P1-P4 measure the
 performance dimensions the paper's Section 6 identifies: cryptographic
 computation, evidence space overhead and protocol communication overhead).

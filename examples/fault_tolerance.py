@@ -28,6 +28,7 @@ from __future__ import annotations
 from repro import (
     ComponentDescriptor,
     DomainConfig,
+    DurabilityConfig,
     FaultConfig,
     FaultModel,
     TrustDomain,
@@ -129,11 +130,13 @@ def main() -> None:
     #    Observability is on for this domain, so the degraded run -- fan-out,
     #    commit, severed outcome wave and the re-delivery that repairs it --
     #    is captured as one span tree (section 6 renders it).
-    healing_config = DomainConfig.from_legacy_kwargs(
-        outcome_redelivery=True, scheduled_retries=True
+    healing = TrustDomain.create(
+        parties,
+        config=DomainConfig(
+            durability=DurabilityConfig(outcome_redelivery=True),
+            observability=ObservabilityConfig(),
+        ),
     )
-    healing_config.observability = ObservabilityConfig()
-    healing = TrustDomain.create(parties, config=healing_config)
     h_buyer = healing.organisation("urn:org:buyer")
     h_auditor = healing.organisation("urn:org:auditor")
     healing.share_object("orders", {"accepted": 0})

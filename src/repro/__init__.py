@@ -133,57 +133,71 @@ On top of the encode-once substrate, the protocol engine runs concurrently:
   reported per slot), used by dispute resolution and by ``handle_outcome``
   for the decision evidence forwarded with a sharing outcome.
 
-* **Event-driven retries** -- delivery retries over lossy links used to
-  sleep their exponential backoff on the calling thread, so one flaky link
-  parked a whole protocol run.  With a
-  ``repro.transport.scheduler.RetryScheduler`` attached to the network
-  (``TrustDomain.create(..., scheduled_retries=True)``), a failed
-  ``send``/``send_batch`` entry instead registers a deadline timer and
-  resolves through a ``DeliveryFuture``: the retry state machine is
-  attempt -> outcome -> complete the future (success, permanent failure,
-  exhausted budget) or schedule the next attempt at ``now + backoff``.
-  There is no dedicated timer thread -- threads *waiting* on futures drive
-  the scheduler, firing whatever is due (their own run's retries or any
-  other's) and advancing a virtual clock idempotently to the next deadline,
-  so concurrent runs overlap their retry waits instead of summing them and
-  pool workers are never parked in backoff sleeps.  Completion futures
-  thread through ``RemoteInvoker.call_batch_async`` and
-  ``B2BCoordinator.request_all_async`` / ``send_all_async``, which the
-  sharing and membership fan-outs await as sets.  The scheduled batch state
-  machine groups retry waves exactly like the blocking loop, so for
-  non-interleaved workloads statistics and replica state are *byte
-  identical* between modes (property-tested, including under a seeded
-  lossy fault model); delivery effort is observable either way through
-  ``NetworkStatistics.attempts_per_destination`` /
-  ``deliveries_per_destination``.  ``ReliableChannel.close()`` cancels
+* **One run engine** -- every reliable send and every coordination round
+  executes on one scheduled state machine; the blocking and non-blocking
+  entry points differ only in who waits.
+
+  *Delivery.*  Each network constructs a
+  ``repro.transport.scheduler.RetryScheduler`` on its clock.  A
+  ``ReliableChannel`` send is attempt -> outcome -> resolve its
+  ``DeliveryFuture`` (success, permanent failure, exhausted budget) or
+  schedule the next attempt as a timer at ``now + backoff``; a fan-out is
+  one such machine per wave (all still-pending entries share one network
+  batch and one backoff timer) with one future for the wave.  The first
+  attempt runs on the calling thread, so on a healthy link the future is
+  resolved before ``send_scheduled`` / ``send_batch_scheduled`` return and
+  no timer exists; ``send`` / ``send_batch`` are ``.result()`` on it.
+  Futures thread through ``RemoteInvoker.call_batch_async`` and
+  ``B2BCoordinator.request_all_async`` / ``send_all_async``.
+
+  *Runs.*  A coordination round is a two-phase state machine
+  (``repro.core.sharing._CoordinationRun``) with one driver, ``start()``:
+  it runs phase 1 on the calling thread and chains each later phase on the
+  fan-out it needs.  A run leaves the thread that is executing it only when
+  it has to wait: a fan-out that is already complete continues **inline**;
+  one that is waiting on retry timers continues from its completion
+  callback, which fires on whichever thread resolved the last delivery.
+  ``RetryScheduler.resume`` decides where, by the rule timer callbacks
+  already follow: on a virtual clock inline, in resolution order
+  (deterministic; no real latency to overlap); on a wall clock with one
+  **hop** to the ``repro.parallel`` executor, so the resolving thread goes
+  back to its timers.  Between phases a waiting run occupies no thread --
+  only timers and callbacks -- so hundreds of runs started from one thread
+  stay in flight together (BENCH_4: 256).  ``propose_update`` /
+  ``connect_member`` / ``disconnect_member`` are ``..._async(...).result()``;
+  a healthy blocking update schedules no timer, submits nothing to the
+  executor and waits on no condition.
+
+  *Who drives timers.*  There is no timer thread: threads *waiting* on a
+  future fire whatever is due (their own run's retries or any other's) and
+  advance a virtual clock idempotently to the next deadline, so concurrent
+  runs overlap their retry waits instead of summing them.  A future nobody
+  waits on is resolved without taking the scheduler lock.  Virtual-clock
+  integrity is kept by scheduler *advance holds*: while a run is computing
+  (``start()``'s synchronous stretch, a resumed continuation, a firing
+  callback) drivers wait instead of advancing simulated time over it -- but
+  a wait nested *inside* held work (a TTP relay's onward delivery) counts as
+  waiting, so it can itself move time on.
+
+  *Deadlines.*  Timers carry an optional *run tag*;
+  ``RetryScheduler.cancel_run(run_id)`` withdraws every timer of one run.
+  A run accepts a ``deadline`` (abort for updates, membership-change expiry
+  for connect/disconnect): expiry aborts the pending run -- cancelling its
+  delivery retries, resolving its ``RunFuture`` as not-agreed, leaking no
+  timers.  ``FairExchangeClient.schedule_abort``, responder orphan expiry
+  and outcome re-delivery ride the same heap, so they work on every domain.
+
+  *The commit barrier.*  Abort and commit race under one lock; once the
+  outcome wave may leave, the run can complete but no longer abort.  With a
+  run journal the barrier writes ``committed`` before any outcome message
+  leaves, and the future's resolution writes ``settled`` -- except for a
+  run that *failed after* the barrier (a storage error in the local apply,
+  an injected crash): its record stays ``committed``, the caller gets the
+  original exception from ``.result()``, and ``recover_runs()`` resumes it,
+  because peers may already have applied the outcome.  Delivery effort is
+  observable through ``NetworkStatistics.attempts_per_destination`` /
+  ``deliveries_per_destination``; ``ReliableChannel.close()`` cancels
   in-flight retries without leaking timers.
-
-* **Run multiplexing (async protocol engine)** -- a coordination round is
-  an explicit two-phase state machine (``repro.core.sharing``) with two
-  drivers over the same protocol hooks: the blocking driver awaits each
-  fan-out inline (the reference behaviour), while
-  ``propose_update_async`` / ``connect_member_async`` /
-  ``disconnect_member_async`` register each subsequent phase as a
-  *continuation* on its ``CoordinatorFanOut`` (executed via
-  ``repro.parallel``) and return a ``RunFuture`` immediately.  Between
-  phases a run occupies no thread -- only timers and callbacks -- so a
-  bounded pool multiplexes hundreds of concurrent runs (BENCH_4: 256 runs
-  over 8 workers).  ``TrustDomain.create(async_runs=True)`` routes the
-  blocking sharing API through the async engine (``.result()`` wrappers);
-  stats, evidence and replica state are property-tested identical across
-  engines at 0% and seeded 10% drop.  Virtual-clock integrity is kept by
-  scheduler *advance holds*: while a continuation is in flight, drivers
-  wait instead of advancing simulated time over it.
-
-* **Protocol deadlines as timers** -- scheduler timers carry an optional
-  *run tag*, and ``RetryScheduler.cancel_run(run_id)`` withdraws every
-  timer of one protocol run at once.  On top of this, an async run accepts
-  a ``deadline`` (fair-exchange-style abort for updates, membership-change
-  expiry for connect/disconnect): expiry aborts the pending run --
-  cancelling its delivery retries, resolving its ``RunFuture`` as
-  not-agreed, leaking no timers -- instead of parking a thread in a
-  timeout wait.  ``FairExchangeClient.schedule_abort`` registers the
-  TTP abort deadline the same way.
 
 * **Forward-secure offline/online split** -- everything in a
   forward-secure signature except the inner DSA operation is
@@ -266,8 +280,8 @@ others cannot see.  All are opt-in through ``DurabilityConfig`` /
   committed ones.  It cannot help when the proposer stayed up but a *peer*
   missed the outcome -- the run is settled, the journal closed.
 
-* **Outcome re-delivery** (``outcome_redelivery=True``, requires
-  ``scheduled_retries``) heals the *undelivered outcome wave*: when an
+* **Outcome re-delivery** (``outcome_redelivery=True``) heals the
+  *undelivered outcome wave*: when an
   agreed run's outcome fan-out fails for some peers (and when a degraded
   run could not dispatch at all), the proposer queues the exact journaled
   wave messages and a ``RetryScheduler`` task pushes them --
@@ -314,8 +328,8 @@ Deployment architecture
 
 Two transports implement one network surface (``register`` / ``send`` /
 ``send_batch`` + statistics, clock, retry-scheduler and dispatch-strategy
-attachment points), so every engine above the transport -- reliable
-channels, scheduled retries, parallel dispatch, the async run engine -- is
+attachment points), so everything above the transport -- reliable
+channels and their retry timers, parallel dispatch, the run engine -- is
 deployment-agnostic:
 
 * **Simulated (in-process)** -- ``repro.transport.network.SimulatedNetwork``
@@ -408,10 +422,9 @@ deployment-agnostic:
 
 * **Configuration** -- ``repro.core.config.DomainConfig`` groups
   ``TrustDomain.create``'s two dozen knobs into ``TransportConfig``,
-  ``ReliabilityConfig``, ``DurabilityConfig``, ``FaultConfig`` and
-  ``PeeringConfig``; every cross-field validity rule lives in
-  ``DomainConfig.validate()``.  The flat keyword surface remains and
-  delegates through the same path.
+  ``DurabilityConfig``, ``FaultConfig`` and ``PeeringConfig``; every
+  cross-field validity rule lives in ``DomainConfig.validate()``.  The flat
+  keyword surface remains and delegates through the same path.
 
 Observability architecture
 --------------------------
@@ -491,7 +504,6 @@ from repro.core.config import (
     FaultConfig,
     ObservabilityConfig,
     PeeringConfig,
-    ReliabilityConfig,
     TransportConfig,
 )
 from repro.core.trust_domain import DeploymentStyle, TrustDomain
@@ -553,7 +565,6 @@ __all__ = [
     "PeerChannelManager",
     "PeeringConfig",
     "PeeringPolicy",
-    "ReliabilityConfig",
     "ReproError",
     "RunAbortNotice",
     "RunFuture",

@@ -8,7 +8,6 @@ surface: one dataclass grouping the knobs by concern --
 * :class:`TransportConfig` -- what carries messages (a wire transport
   bundle for cross-process domains, or a simulated network / clock /
   dispatch strategy);
-* :class:`ReliabilityConfig` -- retry scheduling and the async run engine;
 * :class:`DurabilityConfig` -- evidence/journal/audit persistence, either
   as one ``storage=`` profile (``"memory"``, ``"file:<dir>"``,
   ``"sqlite:<path>"``) or as explicit per-store backend factories;
@@ -42,7 +41,6 @@ __all__ = [
     "FaultConfig",
     "ObservabilityConfig",
     "PeeringConfig",
-    "ReliabilityConfig",
     "TransportConfig",
 ]
 
@@ -72,23 +70,6 @@ class TransportConfig:
     network: Optional[SimulatedNetwork] = None
     clock: Optional[Clock] = None
     dispatch: Optional[DispatchStrategy] = None
-
-
-@dataclass
-class ReliabilityConfig:
-    """Retry scheduling and run multiplexing.
-
-    ``async_runs`` implies ``scheduled_retries``: the scheduler also
-    carries the async engine's protocol deadlines, so the implication is
-    structural, not a validation error.
-    """
-
-    scheduled_retries: bool = False
-    async_runs: bool = False
-
-    @property
-    def effective_scheduled_retries(self) -> bool:
-        return self.scheduled_retries or self.async_runs
 
 
 @dataclass
@@ -235,7 +216,6 @@ class DomainConfig:
     with_arbitrator: bool = False
     keypair_factory: Optional[Callable[[str], Any]] = None  # KeyPair
     transport: TransportConfig = field(default_factory=TransportConfig)
-    reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
     peering: Optional[PeeringConfig] = None
@@ -253,8 +233,6 @@ class DomainConfig:
         relayed_protocols: Optional[List[str]] = None,
         with_arbitrator: bool = False,
         dispatch: Optional[DispatchStrategy] = None,
-        scheduled_retries: bool = False,
-        async_runs: bool = False,
         evidence_backend_factory: Optional[BackendFactory] = None,
         transport: Optional[Any] = None,
         durable_runs: bool = False,
@@ -279,9 +257,6 @@ class DomainConfig:
             keypair_factory=keypair_factory,
             transport=TransportConfig(
                 wire=transport, network=network, clock=clock, dispatch=dispatch
-            ),
-            reliability=ReliabilityConfig(
-                scheduled_retries=scheduled_retries, async_runs=async_runs
             ),
             durability=DurabilityConfig(
                 durable_runs=durable_runs,

@@ -16,6 +16,12 @@ address of the coordinator that should receive messages for that party.  In
 a *direct* trust domain each peer routes to the peer's own coordinator; in an
 *inline TTP* domain peers route to the TTP, whose relay handler forwards the
 message (Section 3.1, Figure 3).
+
+Fan-outs (``request_all_async`` / ``send_all_async``) start one reliable
+delivery wave and return a :class:`CoordinatorFanOut` completion handle: on a
+healthy network it is complete on return, otherwise retries wait as
+scheduler timers.  The blocking forms (``request_all`` / ``send_all``,
+the paper's ``deliverRequest``) are a wait on that handle.
 """
 
 from __future__ import annotations
@@ -283,9 +289,8 @@ class B2BCoordinator:
     ) -> "CoordinatorFanOut":
         """Start a one-way fan-out; returns its completion handle.
 
-        With a retry scheduler on the network the handle completes as
-        deliveries succeed (retries wait as timers, not sleeps); without one
-        it is already complete on return.  Await it with
+        The handle completes once every delivery is decided (retries wait
+        as timers, not sleeps).  Await it with
         :meth:`CoordinatorFanOut.errors`.
         """
         return self._fan_out_async(messages, "deliver")
@@ -326,8 +331,8 @@ class CoordinatorFanOut:
     Wraps the underlying :class:`repro.transport.rmi.RemoteCallBatch`
     together with the route-resolution failures that never reached the
     network, preserving per-message result order.  Waiting on the handle
-    drives the retry scheduler (when one is configured), so the proposer's
-    thread services other runs' due retries while its own fan-out completes.
+    drives the retry scheduler, so the proposer's thread services other
+    runs' due retries while its own fan-out completes.
     """
 
     def __init__(
@@ -350,10 +355,10 @@ class CoordinatorFanOut:
         """Invoke ``callback(self)`` once the whole fan-out has resolved.
 
         This is what lets a protocol phase *register a continuation* instead
-        of blocking on :meth:`results`: an already-complete fan-out (no
-        scheduler, or no failures) fires on the calling thread, otherwise the
-        thread resolving the last delivery fires it.  Continuations should
-        offload non-trivial work through :func:`repro.parallel.submit`.
+        of blocking on :meth:`results`: an already-complete fan-out fires on
+        the calling thread, otherwise the thread resolving the last delivery
+        fires it.  Continuations should offload non-trivial work through
+        :func:`repro.parallel.submit`.
         """
         if self._batch is None:
             callback(self)

@@ -115,13 +115,6 @@ class FairExchangeClient:
         already resolved the run in the server's favour is recorded in the
         audit log instead of raising on the driving thread.
         """
-        scheduler = self._coordinator.network.retry_scheduler
-        if scheduler is None:
-            raise FairExchangeError(
-                f"{self.party!r} cannot schedule an abort deadline: the network "
-                "has no retry scheduler attached"
-            )
-
         def fire() -> None:
             try:
                 self.request_abort(run_id)
@@ -144,7 +137,9 @@ class FairExchangeClient:
                     details={"event": "abort-deadline-failed", "error": str(error)},
                 )
 
-        return scheduler.schedule(timeout, fire, run_id=run_id)
+        return self._coordinator.network.retry_scheduler.schedule(
+            timeout, fire, run_id=run_id
+        )
 
     # -- helpers -----------------------------------------------------------------------
 

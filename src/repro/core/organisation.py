@@ -81,7 +81,6 @@ class Organisation:
         retry_policy: Optional[RetryPolicy] = None,
         display_name: str = "",
         evidence_backend: Optional[StorageBackend] = None,
-        async_runs: bool = False,
         durable_runs: bool = False,
         run_journal_backend: Optional[StorageBackend] = None,
         orphan_run_timeout: Optional[float] = None,
@@ -174,7 +173,6 @@ class Organisation:
             party=uri,
             coordinator=self.coordinator,
             membership=self.membership,
-            async_runs=async_runs,
             orphan_run_timeout=orphan_run_timeout,
             durable_state=durable_state,
             outcome_redelivery=outcome_redelivery,

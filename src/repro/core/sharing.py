@@ -31,18 +31,23 @@ Execution model: every coordination round (state update or membership
 change) is one :class:`_CoordinationRun` -- an explicit two-phase state
 machine whose protocol logic lives in three hooks (build the phase-1
 proposal fan-out, turn the collected decisions into the phase-2 outcome
-fan-out, finalise).  Two drivers execute the same hooks:
+fan-out, finalise) and whose one driver is :meth:`_CoordinationRun.start`.
+``start()`` runs phase 1 on the calling thread and chains each later phase
+on the :class:`~repro.core.coordinator.CoordinatorFanOut` it waits for: a
+fan-out that is already complete (every healthy one is) continues inline on
+the same thread; one that is waiting on retry timers continues when its last
+delivery resolves, from the thread that resolved it
+(:meth:`~repro.transport.scheduler.RetryScheduler.resume`: inline on a
+virtual clock, on the shared :mod:`repro.parallel` executor on a wall
+clock).  Between phases a waiting run occupies no thread at all -- only
+scheduler timers and completion callbacks -- so whoever drives the scheduler
+multiplexes thousands of concurrent runs.  ``start()`` returns the run's
+:class:`RunFuture`; the
+blocking entry points (``propose_update``, ``connect_member``,
+``disconnect_member``) are ``..._async(...).result()``, so blocking and
+non-blocking callers differ only in who waits.
 
-* ``run_inline()`` awaits each fan-out on the calling thread -- the
-  blocking reference behaviour, byte-identical to the pre-async engine;
-* ``start()`` registers each subsequent phase as a *continuation* on its
-  :class:`~repro.core.coordinator.CoordinatorFanOut` (running on the shared
-  :mod:`repro.parallel` executor) and returns a :class:`RunFuture`
-  immediately, so a bounded worker pool can multiplex thousands of
-  concurrent runs: between phases a run occupies no thread at all, only
-  scheduler timers and completion callbacks.
-
-Runs started asynchronously may carry a *deadline*: a
+A run may carry a *deadline*: a
 :class:`~repro.transport.scheduler.RetryScheduler` timer that aborts the
 pending run (cancelling its delivery retries via their run tag and
 resolving its future as not-agreed) instead of parking a thread in a
@@ -57,7 +62,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro import codec, parallel
+from repro import codec
 from repro.container.component import ComponentDescriptor
 from repro.container.container import Container
 from repro.container.interceptor import (
@@ -232,9 +237,7 @@ class RunFuture(DeliveryFuture):
     failing, so ``result()`` only raises for unexpected engine errors.
     """
 
-    def __init__(
-        self, run_id: str, scheduler: Optional[RetryScheduler] = None
-    ) -> None:
+    def __init__(self, run_id: str, scheduler: RetryScheduler) -> None:
         super().__init__(scheduler)
         self.run_id = run_id
         self._machine: Optional["_CoordinationRun"] = None
@@ -257,7 +260,7 @@ class _CoordinationRun:
 
     Subclasses implement the protocol logic as pure phase hooks; the base
     class owns run lifecycle (deadline timer, abort/settle races) and the
-    two drivers described in the module docstring.  Whichever of normal
+    driver described in the module docstring.  Whichever of normal
     completion, failure, abort or deadline expiry happens first settles the
     run; the losers become no-ops, and every settle path cancels the
     deadline timer so settled runs leak no timers.
@@ -275,7 +278,7 @@ class _CoordinationRun:
         self._services = controller.coordinator.services
         self.object_id = object_id
         self.run_id = run_id
-        self._scheduler: Optional[RetryScheduler] = (
+        self._scheduler: RetryScheduler = (
             controller.coordinator.network.retry_scheduler
         )
         self._deadline = deadline
@@ -317,11 +320,11 @@ class _CoordinationRun:
             self._run_started = perf_counter()
             self.future.add_done_callback(self._end_root_span)
         if self._journal is not None:
-            # Whichever way the run resolves -- completion, abort, deadline
-            # expiry or engine failure -- the settled record marks it as
-            # needing no recovery.  The callback fires after the future is
-            # resolved, so the journal can never declare settled a run whose
-            # outcome is still undecided.
+            # However the run resolves -- completion, abort, deadline expiry
+            # or a failure before the commit barrier -- the settled record
+            # marks it as needing no recovery.  The callback fires after the
+            # future is resolved, so the journal can never declare settled a
+            # run whose outcome is still undecided.
             self.future.add_done_callback(self._journal_settled)
 
     #: Journal tag for the run kind; subclasses override.
@@ -344,25 +347,6 @@ class _CoordinationRun:
     def _aborted_outcome(self, reason: str) -> SharingOutcome:
         """Audit the abort and build the not-agreed outcome it resolves to."""
         raise NotImplementedError
-
-    # -- blocking driver ---------------------------------------------------------
-
-    def run_inline(self) -> SharingOutcome:
-        """Drive the round to completion on the calling thread.
-
-        The reference behaviour the continuation driver is property-tested
-        against: each fan-out is awaited in place (the wait itself drives
-        the retry scheduler when one is attached).
-        """
-        with _span_scope(self._span):
-            decision_fan_out = self._phase1_fan_out()
-            outcome_messages = self._phase2_messages(decision_fan_out.results())
-            outcome_fan_out = self._commit_outcome(outcome_messages)
-            if outcome_fan_out is None:  # aborted concurrently; future holds why
-                return self.future.result()
-            outcome = self._finalize(outcome_fan_out.errors())
-            self._settle(lambda: self.future.complete(outcome))
-            return outcome
 
     def _commit_outcome(self, outcome_messages: List[B2BProtocolMessage]):
         """Mark the run committed and dispatch the outcome fan-out.
@@ -476,6 +460,11 @@ class _CoordinationRun:
 
     def _journal_settled(self, future: DeliveryFuture) -> None:
         error = future.error
+        if error is not None and self._committed:
+            # The engine failed past the commit barrier: peers may already
+            # hold (and have applied) the outcome, so the run is not over.
+            # Its journal record stays open for recover_runs() to resume.
+            return
         if error is not None:
             agreed, reason = False, f"run failed: {error}"
         else:
@@ -532,76 +521,59 @@ class _CoordinationRun:
     # -- continuation driver ------------------------------------------------------
 
     def start(self) -> RunFuture:
-        """Start the round without blocking; returns its :class:`RunFuture`.
+        """Start the round; returns its :class:`RunFuture` without waiting.
 
-        Phase 1's first delivery attempts run on the calling thread (a
-        healthy fan-out is exactly as fast as the blocking driver); every
-        subsequent step runs as a continuation on the shared executor when
-        the fan-out it waits for completes.  Errors raised while *building*
-        phase 1 (unknown object, membership violations) propagate
-        synchronously, exactly like the blocking driver.
+        Phase 1's first delivery attempts run on the calling thread, and so
+        does every later phase whose fan-out is complete by the time it is
+        chained: on a healthy network the future is resolved on return and
+        the run never left this thread.  A phase that has to wait for retry
+        timers resumes when they resolve (see :meth:`_chain`).  Errors
+        raised while *building* phase 1 (unknown object, membership
+        violations) propagate synchronously; later failures resolve the
+        future.
+
+        The whole synchronous stretch runs under an advance hold: a run that
+        is computing -- verifying decisions, building the outcome -- holds
+        no earlier timer, so without the hold a concurrent driver could
+        advance a virtual clock straight to the run's own deadline and
+        expire it mid-stride.
         """
-        hold = self._hold_advance()
-        try:
-            with _span_scope(self._span):
-                if self._deadline is not None:
-                    if self._scheduler is None:
-                        raise CoordinationError(
-                            f"a deadline for the run on {self.object_id!r} requires a "
-                            "retry scheduler on the network"
-                        )
-                    self._deadline_handle = self._scheduler.schedule(
-                        self._deadline, self._expire, run_id=self.run_id
-                    )
-                try:
-                    decision_fan_out = self._phase1_fan_out()
-                except Exception:
-                    self._cancel_deadline()
-                    raise
-                self._chain(decision_fan_out, self._after_phase1)
-        finally:
-            if hold is not None:
-                hold.release()
+        with self._scheduler.hold_advance(), _span_scope(self._span):
+            if self._deadline is not None:
+                self._deadline_handle = self._scheduler.schedule(
+                    self._deadline, self._expire, run_id=self.run_id
+                )
+            try:
+                decision_fan_out = self._phase1_fan_out()
+            except Exception:
+                self._cancel_deadline()
+                raise
+            self._chain(decision_fan_out, self._after_phase1)
         return self.future
 
-    def _hold_advance(self):
-        """Keep drivers from advancing virtual time while this run computes.
-
-        A run that is between phases -- verifying decisions, building the
-        outcome -- holds no earlier timer, so without the hold a concurrent
-        driver could advance a virtual clock straight to the run's own
-        deadline and expire it mid-stride.
-        """
-        if self._scheduler is None:
-            return None
-        return self._scheduler.hold_advance()
-
     def _chain(self, fan_out, continuation: Callable[[Any], None]) -> None:
-        """Register ``continuation(fan_out)`` to run once the fan-out settles.
+        """Run ``continuation(fan_out)`` once the fan-out has settled.
 
-        The continuation executes on the shared executor (inline when the
-        resolving thread is itself a pool worker), bridged by an advance
-        hold so the hop to the worker is invisible to virtual time.
+        A fan-out that is already complete continues inline: the run stays
+        on the thread (and under the advance hold) that is executing it.
+        Otherwise the continuation is registered as a completion callback;
+        it fires on whichever thread resolved the last delivery, and the
+        scheduler decides where the run resumes from there (see
+        :meth:`RetryScheduler.resume`).
         """
-
-        def resume(done_fan_out) -> None:
-            hold = self._hold_advance()
-
-            def step() -> None:
-                try:
-                    continuation(done_fan_out)
-                finally:
-                    if hold is not None:
-                        hold.release()
-
-            parallel.submit(step)
-
-        fan_out.add_done_callback(resume)
+        if fan_out.done():
+            continuation(fan_out)
+        else:
+            fan_out.add_done_callback(
+                lambda done: self._scheduler.resume(lambda: continuation(done))
+            )
 
     def _after_phase1(self, decision_fan_out) -> None:
-        # Continuations run on executor workers, which carry whatever trace
-        # context their previous task left behind -- re-activate the run root
-        # explicitly so everything this phase sends is attributed correctly.
+        # A continuation resumed from a completion callback finds whatever
+        # trace context that thread carries (another run's timer, a pool
+        # worker's previous task) -- activate the run root explicitly so
+        # everything this phase sends is attributed correctly (inline, this
+        # re-activates what start() already set).
         with _span_scope(self._span):
             if self._done():
                 return
@@ -648,10 +620,9 @@ class _CoordinationRun:
                 fan_outs = list(self._fan_outs)
             for fan_out in fan_outs:
                 fan_out.cancel()
-            if self._scheduler is not None:
-                # Sweep whatever else carries the run tag (the deadline
-                # timer if still pending, externally scheduled run timers).
-                self._scheduler.cancel_run(self.run_id)
+            # Sweep whatever else carries the run tag (the deadline timer
+            # if still pending, externally scheduled run timers).
+            self._scheduler.cancel_run(self.run_id)
             self.future.complete(self._aborted_outcome(reason))
 
         with self._state_lock:
@@ -735,7 +706,6 @@ class B2BObjectController:
         party: str,
         coordinator: B2BCoordinator,
         membership: Optional[MembershipService] = None,
-        async_runs: bool = False,
         orphan_run_timeout: Optional[float] = None,
         durable_state: bool = False,
         outcome_redelivery: bool = False,
@@ -752,10 +722,6 @@ class B2BObjectController:
         #: scheduler (breaker-aware per peer) until every peer has
         #: acknowledged it or the object advances past it.
         self.outcome_redelivery = outcome_redelivery
-        #: When set, the blocking entry points delegate to the continuation
-        #: driver (``propose_update`` == ``propose_update_async().result()``);
-        #: when clear they drive the same state machine inline.
-        self.async_runs = async_runs
         #: Responder-side proposal-age expiry (seconds): a proposal whose
         #: outcome has not arrived within this window is treated as orphaned
         #: -- its proposer died or partitioned away -- and its responder
@@ -911,36 +877,30 @@ class B2BObjectController:
         """Propose ``new_state`` for ``object_id`` and coordinate agreement.
 
         Returns the :class:`SharingOutcome`; the update is applied locally
-        (and at every peer) only when agreement was unanimous.  With
-        ``async_runs`` enabled this is a thin ``.result()`` wrapper around
-        :meth:`propose_update_async`; otherwise the same state machine runs
-        inline on the calling thread (the blocking reference behaviour).
+        (and at every peer) only when agreement was unanimous.
         """
-        if self.async_runs:
-            # propose_update_async performs the rollup-deferral check itself.
-            return self.propose_update_async(object_id, new_state).result()
-        deferred = self._rollup_deferred(object_id, new_state)
-        if deferred is not None:
-            return deferred
-        return _UpdateRun(self, object_id, new_state).run_inline()
+        return self.propose_update_async(object_id, new_state).result()
 
     def propose_update_async(
         self, object_id: str, new_state: Any, deadline: Optional[float] = None
     ) -> RunFuture:
-        """Start a coordination round without blocking; returns a :class:`RunFuture`.
+        """Start a coordination round; returns its :class:`RunFuture`.
 
-        Phase transitions run as continuations on the shared executor, so
-        between phases the run occupies no thread -- a bounded pool can
-        multiplex arbitrarily many concurrent runs.  ``deadline`` (seconds,
-        requires a retry scheduler on the network) aborts a run that has not
-        settled in time: its pending delivery retries are withdrawn and the
-        future completes with ``agreed=False``.  A run whose outcome fan-out
-        was already dispatched is past aborting (the collective decision is
-        out at the peers) and completes normally even if the deadline fires.
+        On a healthy network the future is resolved on return; a run that
+        has to wait for delivery retries occupies no thread while it waits
+        (see :meth:`_CoordinationRun.start`), so arbitrarily many runs
+        can be in flight at once.  ``deadline`` (seconds)
+        aborts a run that has not settled in time: its pending delivery
+        retries are withdrawn and the future completes with
+        ``agreed=False``.  A run whose outcome fan-out was already
+        dispatched is past aborting (the collective decision is out at the
+        peers) and completes normally even if the deadline fires.
         """
         deferred = self._rollup_deferred(object_id, new_state)
         if deferred is not None:
-            future = RunFuture(deferred.run_id)
+            future = RunFuture(
+                deferred.run_id, self._coordinator.network.retry_scheduler
+            )
             future.complete(deferred)
             return future
         return _UpdateRun(self, object_id, new_state, deadline=deadline).start()
@@ -1130,16 +1090,16 @@ class B2BObjectController:
 
     def connect_member(self, object_id: str, new_member: str) -> SharingOutcome:
         """Run the non-repudiable connect protocol to admit ``new_member``."""
-        return self._coordinate_membership(object_id, "connect", new_member)
+        return self.connect_member_async(object_id, new_member).result()
 
     def disconnect_member(self, object_id: str, member: str) -> SharingOutcome:
         """Run the non-repudiable disconnect protocol to remove ``member``."""
-        return self._coordinate_membership(object_id, "disconnect", member)
+        return self.disconnect_member_async(object_id, member).result()
 
     def connect_member_async(
         self, object_id: str, new_member: str, deadline: Optional[float] = None
     ) -> RunFuture:
-        """Start the connect protocol without blocking.
+        """Start the connect protocol; returns its :class:`RunFuture`.
 
         ``deadline`` is the membership-change expiry: a connect that has not
         settled in time aborts as not-agreed instead of parking a thread.
@@ -1151,17 +1111,10 @@ class B2BObjectController:
     def disconnect_member_async(
         self, object_id: str, member: str, deadline: Optional[float] = None
     ) -> RunFuture:
-        """Start the disconnect protocol without blocking (see connect)."""
+        """Start the disconnect protocol (see :meth:`connect_member_async`)."""
         return _MembershipRun(
             self, object_id, "disconnect", member, deadline=deadline
         ).start()
-
-    def _coordinate_membership(
-        self, object_id: str, action: str, member: str
-    ) -> SharingOutcome:
-        if self.async_runs:
-            return _MembershipRun(self, object_id, action, member).start().result()
-        return _MembershipRun(self, object_id, action, member).run_inline()
 
     def _apply_membership_change(self, object_id: str, action: str, member: str) -> None:
         if action == "connect":
@@ -1411,9 +1364,9 @@ class B2BObjectController:
         silently withdraw this responder's expiry watch, and vice versa.
         """
         timeout = self.orphan_run_timeout
-        scheduler = self._coordinator.network.retry_scheduler
-        if timeout is None or scheduler is None:
+        if timeout is None:
             return
+        scheduler = self._coordinator.network.retry_scheduler
         with self._lock:
             if run_id in self._orphan_timers:
                 return
@@ -1511,9 +1464,6 @@ class B2BObjectController:
         journal recovery or a duplicate attempt already reached dedups them.
         """
         if not self.outcome_redelivery or not messages:
-            return
-        scheduler = self._coordinator.network.retry_scheduler
-        if scheduler is None:
             return
         with self._lock:
             if run_id in self._redeliveries:

@@ -81,8 +81,6 @@ class TrustDomain:
         relayed_protocols: Optional[List[str]] = None,
         with_arbitrator: bool = False,
         dispatch: Optional[DispatchStrategy] = None,
-        scheduled_retries: bool = False,
-        async_runs: bool = False,
         evidence_backend_factory: Optional[Callable[[str], StorageBackend]] = None,
         transport: Optional["WireTransport"] = None,  # noqa: F821 - lazy import
         durable_runs: bool = False,
@@ -125,16 +123,13 @@ class TrustDomain:
         ``dispatch`` selects the network's handler-dispatch strategy (e.g.
         :class:`repro.transport.network.ParallelDispatch` to run batched
         protocol fan-outs concurrently); it is only consulted when the domain
-        constructs its own network.  ``scheduled_retries`` attaches a
-        :class:`repro.transport.scheduler.RetryScheduler` to the network, so
-        delivery retries wait as deadline timers that overlap across
-        concurrent protocol runs instead of blocking their proposer threads.
-        ``async_runs`` opts every organisation into the run-multiplexing
-        protocol engine: blocking sharing calls become thin ``.result()``
-        wrappers over ``propose_update_async`` and friends, whose phase
-        transitions run as continuations instead of occupying a thread per
-        run; it implies ``scheduled_retries`` (the scheduler also carries
-        the engine's protocol deadlines).  ``evidence_backend_factory`` maps
+        constructs its own network.  Either network comes with a
+        :class:`repro.transport.scheduler.RetryScheduler` on its clock
+        (:attr:`retry_scheduler`): delivery retries wait as timers, run
+        deadlines, orphan expiry and outcome re-delivery are timers on the
+        same heap, and every coordination round runs on the one engine of
+        :mod:`repro.core.sharing` -- there is nothing to switch on.
+        ``evidence_backend_factory`` maps
         a party URI to the storage backend its evidence store should persist
         into (e.g. a :class:`repro.persistence.storage.FileBackend`
         directory for multi-process deployments); the default keeps evidence
@@ -176,8 +171,6 @@ class TrustDomain:
                 relayed_protocols=relayed_protocols,
                 with_arbitrator=with_arbitrator,
                 dispatch=dispatch,
-                scheduled_retries=scheduled_retries,
-                async_runs=async_runs,
                 evidence_backend_factory=evidence_backend_factory,
                 transport=transport,
                 durable_runs=durable_runs,
@@ -206,8 +199,6 @@ class TrustDomain:
                     "relayed_protocols": (relayed_protocols, None),
                     "with_arbitrator": (with_arbitrator, False),
                     "dispatch": (dispatch, None),
-                    "scheduled_retries": (scheduled_retries, False),
-                    "async_runs": (async_runs, False),
                     "evidence_backend_factory": (evidence_backend_factory, None),
                     "transport": (transport, None),
                     "durable_runs": (durable_runs, False),
@@ -246,7 +237,6 @@ class TrustDomain:
         style = config.style
         scheme = config.scheme
         keypair_factory = config.keypair_factory
-        reliability = config.reliability
         evidence_factory, journal_factory, audit_factory, state_factory = (
             config.durability.resolve_factories()
         )
@@ -257,11 +247,6 @@ class TrustDomain:
             dispatch=config.transport.dispatch,
             fault_plan=config.faults.plan,
         )
-        if (
-            reliability.effective_scheduled_retries
-            and network.retry_scheduler is None
-        ):
-            network.set_retry_scheduler(RetryScheduler(network.clock))
         ca = CertificateAuthority("urn:repro:ca", scheme=scheme, clock=clock)
         tsa = (
             TimestampAuthority("urn:repro:tsa", scheme=scheme, clock=clock)
@@ -286,7 +271,6 @@ class TrustDomain:
                 evidence_backend=(
                     evidence_factory(uri) if evidence_factory else None
                 ),
-                async_runs=reliability.async_runs,
                 durable_runs=config.durability.durable_runs,
                 run_journal_backend=(
                     journal_factory(uri) if journal_factory else None
@@ -341,7 +325,6 @@ class TrustDomain:
         transport = config.transport.wire
         scheme = config.scheme
         keypair_factory = config.keypair_factory
-        reliability = config.reliability
         evidence_factory, journal_factory, audit_factory, state_factory = (
             config.durability.resolve_factories()
         )
@@ -364,11 +347,6 @@ class TrustDomain:
         clock = wire_network.clock
         if config.transport.dispatch is not None:
             wire_network.set_dispatch(config.transport.dispatch)
-        if (
-            reliability.effective_scheduled_retries
-            and wire_network.retry_scheduler is None
-        ):
-            wire_network.set_retry_scheduler(RetryScheduler(wire_network.clock))
         if config.peering is not None and transport.peer_manager is None:
             transport.enable_peering(config.peering.to_policy())
         ca = CertificateAuthority("urn:repro:ca", scheme=scheme, clock=clock)
@@ -390,7 +368,6 @@ class TrustDomain:
                 evidence_backend=(
                     evidence_factory(uri) if evidence_factory else None
                 ),
-                async_runs=reliability.async_runs,
                 durable_runs=config.durability.durable_runs,
                 run_journal_backend=(
                     journal_factory(uri) if journal_factory else None
@@ -469,10 +446,10 @@ class TrustDomain:
                 "network.bytes_delivered": stats.bytes_delivered,
                 "network.circuit_open_refusals": stats.circuit_open_refusals,
                 "executor.queue_depth": parallel.executor_queue_depth(),
+                "scheduler.pending_timers": (
+                    network.retry_scheduler.pending_timers()
+                ),
             }
-            scheduler = network.retry_scheduler
-            if scheduler is not None:
-                metrics["scheduler.pending_timers"] = scheduler.pending_timers()
             breaker = network.circuit_breaker
             if breaker is not None:
                 states = list(breaker.states().values())
@@ -617,8 +594,8 @@ class TrustDomain:
         return self.arbitrator.party if self.arbitrator else None
 
     @property
-    def retry_scheduler(self) -> Optional[RetryScheduler]:
-        """The network's event-driven retry scheduler, when one is attached."""
+    def retry_scheduler(self) -> RetryScheduler:
+        """The network's timer heap: delivery retries and protocol deadlines."""
         return self.network.retry_scheduler
 
     def organisation(self, uri: str) -> Organisation:

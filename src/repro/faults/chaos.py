@@ -532,7 +532,6 @@ def _simulated_self_healing(seed: int, storage_uri: str) -> Dict[str, Any]:
             durable_runs=True,
             durable_state=True,
             outcome_redelivery=True,
-            scheduled_retries=True,
             keypair_factory=lambda uri: keypairs[uri],
         )
 
@@ -696,7 +695,6 @@ def _victim_domain(directory: Path, storage_kind: str):
         durable_state=True,
         outcome_redelivery=True,
         resync_on_connect=True,
-        scheduled_retries=True,
         keypair_factory=lambda uri: keypair,
     )
     return domain, transport, endpoint
@@ -888,7 +886,6 @@ def _wired_self_healing(
             durable_state=True,
             outcome_redelivery=True,
             resync_on_connect=True,
-            scheduled_retries=True,
         )
         (directory / "host.json").write_text(
             json.dumps({"host": transport.host, "port": transport.port})

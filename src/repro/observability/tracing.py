@@ -99,10 +99,10 @@ class Span:
     Spans are mutable until :meth:`end` is called, at which point they are
     handed to their collector.  ``end`` is idempotent.
 
-    A span is also its own activation scope (``with span: ...``).  A span
-    must not be re-entered while already active on the same thread — it
-    keeps a single saved-previous-context slot; activations of *different*
-    spans nest freely.
+    :meth:`activate` returns a fresh activation scope each time, so one
+    span may be activated again while already ambient on the same thread (a
+    run root around ``start()`` and again around a phase that continues
+    inline): every scope restores exactly the context it replaced.
     """
 
     __slots__ = (
@@ -116,7 +116,6 @@ class Span:
         "attributes",
         "_collector",
         "_ended",
-        "_prev_ctx",
     )
 
     def __init__(
@@ -146,20 +145,9 @@ class Span:
     def ctx(self) -> SpanCtx:
         return (self.trace_id, self.span_id)
 
-    def activate(self) -> "Span":
-        return self
-
-    # A span is its own activation scope: entering pushes its context onto
-    # the thread-local slot, leaving restores the previous one.  Being the
-    # context manager directly (rather than returning an _Activation) saves
-    # an allocation and a call on every traced unit of work.
-    def __enter__(self) -> "Span":
-        self._prev_ctx = getattr(_local, "ctx", None)
-        _local.ctx = (self.trace_id, self.span_id)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        _local.ctx = self._prev_ctx
+    def activate(self) -> _Activation:
+        """Scope making this span the ambient context: ``with span.activate():``."""
+        return _Activation((self.trace_id, self.span_id))
 
     def set_attribute(self, key: str, value: Any) -> None:
         if self.attributes is None:

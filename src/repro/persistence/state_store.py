@@ -147,8 +147,10 @@ class StateStore:
 
         ``outcome_record`` -- when given -- is the signed outcome that agreed
         this state, persisted under ``outcome_version`` in the same backend
-        write (see :meth:`record_outcome`).  Returns
-        ``(version_number, digest)``.
+        write: everything a stale peer needs for a signature-checked catch-up
+        apply (run id, proposer, canonical proposal and outcome payloads,
+        evidence tokens in dictionary form), which restart-time resync serves
+        verbatim.  Returns ``(version_number, digest)``.
         """
         digest, snapshot = self._snapshot_item(state)
         with self._lock:
@@ -195,24 +197,6 @@ class StateStore:
             return sorted(self._history)
 
     # -- per-version outcome records (resync source material) ------------------
-
-    def record_outcome(
-        self, object_id: str, version: int, record: Dict[str, Any]
-    ) -> None:
-        """Persist the signed outcome that agreed ``version`` of ``object_id``.
-
-        ``record`` carries everything a stale peer needs for a
-        signature-checked catch-up apply: the run id, the proposer, the
-        canonical proposal and outcome payloads, and the evidence tokens in
-        their dictionary form.  Stored alongside the version history so
-        restart-time resync can serve any missed version verbatim.
-
-        The engine writes outcome records through :meth:`record_version`;
-        this separate write has no caller left in ``src/`` and stays only
-        because ``nrbench/layers.py`` names it -- delete it with that entry.
-        """
-        with self._lock:
-            self._backend.put(*self._outcome_item(object_id, version, record))
 
     def outcome_record(self, object_id: str, version: int) -> Optional[Dict[str, Any]]:
         """The stored outcome record for ``version``, or ``None`` if absent."""

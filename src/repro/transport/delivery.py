@@ -1,28 +1,21 @@
-"""Reliable delivery on top of the lossy simulated network.
+"""Reliable delivery on top of a lossy network.
 
 The trusted-interceptor assumptions only require *eventual* delivery under a
 bounded number of temporary failures.  :class:`ReliableChannel` provides that
 guarantee by retrying sends according to a :class:`RetryPolicy`; the retry
-count and backoff are accounted against the simulated clock so liveness
+count and backoff are accounted against the network's clock so liveness
 benchmarks can report time-to-completion under injected faults.
 
-Two retry execution modes share one policy:
-
-* **Blocking** (no scheduler): the classic loop -- attempt, sleep the
-  backoff on the calling thread, reattempt.  This is the reference
-  behaviour; its statistics are the baseline every other mode is
-  property-tested against.
-* **Scheduled** (a :class:`repro.transport.scheduler.RetryScheduler` is
-  attached to the channel or its network): each failed attempt registers a
-  deferred reattempt with the scheduler and returns a
-  :class:`~repro.transport.scheduler.DeliveryFuture` instead of sleeping.
-  The state machine per send is attempt -> outcome -> either complete the
-  future (success, permanent failure, exhausted budget) or schedule the next
-  attempt at ``now + backoff``.  Waiting on the future drives the scheduler,
-  so concurrent runs interleave their retry backoffs instead of summing
-  them.  The blocking entry points (``send`` / ``send_batch``) transparently
-  delegate to the scheduled machinery when a scheduler is present, which
-  keeps every caller working unchanged.
+Every send is one state machine on the network's
+:class:`repro.transport.scheduler.RetryScheduler`: attempt -> outcome ->
+either resolve the :class:`~repro.transport.scheduler.DeliveryFuture`
+(success, permanent failure, exhausted budget) or schedule the next attempt
+at ``now + backoff`` and return.  The first attempt runs on the calling
+thread, so a healthy link resolves the future before ``send_scheduled`` /
+``send_batch_scheduled`` return and never touches the timer heap.  The
+blocking entry points (``send`` / ``send_batch``) are a wait on that future;
+waiting drives the scheduler, so concurrent runs interleave their retry
+backoffs instead of summing them.
 """
 
 from __future__ import annotations
@@ -33,8 +26,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.clock import Clock
-from repro.errors import DeliveryError, UnknownEndpointError
+from repro.errors import DeliveryError
 from repro.transport.network import BatchResult, SimulatedNetwork
 from repro.transport.scheduler import DeliveryFuture, RetryScheduler, TimerHandle
 
@@ -51,8 +43,7 @@ class RetryPolicy:
     deterministic pseudo-random fraction of the exponential delay, spreading
     the retry storms of many channels that tripped at the same instant.  The
     fraction is a pure function of ``(jitter_seed, attempt)`` -- no mutable
-    RNG state -- so blocking and scheduled execution of the same policy stay
-    byte-identical and a seeded test reproduces its exact timings.  The
+    RNG state -- so a seeded test reproduces its exact timings.  The
     default (``jitter="none"``) preserves the historical fixed schedule.
     """
 
@@ -99,17 +90,12 @@ class ReliableChannel:
         network: SimulatedNetwork,
         source: str,
         policy: Optional[RetryPolicy] = None,
-        clock: Optional[Clock] = None,
-        scheduler: Optional[RetryScheduler] = None,
         run_id: Optional[str] = None,
     ) -> None:
         self._network = network
         self._source = source
         self._policy = policy or RetryPolicy()
-        self._clock = clock or network.clock
-        self._scheduler = (
-            scheduler if scheduler is not None else network.retry_scheduler
-        )
+        self._scheduler: RetryScheduler = network.retry_scheduler
         #: Protocol run this channel's deliveries belong to; scheduled retry
         #: timers carry the tag so ``RetryScheduler.cancel_run`` can withdraw
         #: them when the run is aborted (their futures then resolve through
@@ -128,10 +114,6 @@ class ReliableChannel:
     @property
     def policy(self) -> RetryPolicy:
         return self._policy
-
-    @property
-    def scheduler(self) -> Optional[RetryScheduler]:
-        return self._scheduler
 
     def _count(self, attempts: int, retries: int) -> None:
         """Update the retry accounting; scheduled reattempts fire on any thread."""
@@ -183,37 +165,11 @@ class ReliableChannel:
         """Send with retries; raise :class:`DeliveryError` when the budget is spent.
 
         Unknown endpoints fail immediately (retrying cannot help), matching
-        the distinction between temporary and permanent failures.  With a
-        retry scheduler attached the wait is event-driven: this thread
-        drives other runs' pending retries while its own backoffs elapse.
+        the distinction between temporary and permanent failures.  The wait
+        is event-driven: this thread drives other runs' pending retries
+        while its own backoffs elapse.
         """
-        if self._scheduler is not None:
-            return self.send_scheduled(destination, operation, payload).result()
-        last_error: Optional[Exception] = None
-        for attempt in range(self._policy.max_attempts):
-            self._count(attempts=1, retries=1 if attempt > 0 else 0)
-            if attempt > 0:
-                self._clock.sleep(self._policy.backoff_for_attempt(attempt - 1))
-            refused = self._refused_by_breaker(destination)
-            if refused is not None:
-                last_error = refused
-                continue
-            try:
-                reply = self._network.send(
-                    self._source, destination, operation, payload
-                )
-            except UnknownEndpointError:
-                raise
-            except DeliveryError as error:
-                self._record_outcome(destination, error)
-                last_error = error
-                continue
-            self._record_outcome(destination, None)
-            return reply
-        raise DeliveryError(
-            f"delivery from {self._source!r} to {destination!r} failed after "
-            f"{self._policy.max_attempts} attempts: {last_error}"
-        )
+        return self.send_scheduled(destination, operation, payload).result()
 
     def send_batch(
         self, entries: List[Tuple[str, str, Any]]
@@ -229,55 +185,11 @@ class ReliableChannel:
         peer never masks the other deliveries.
 
         Under a parallel network dispatch strategy the entries of one
-        attempt are delivered concurrently; with a retry scheduler the
-        backoff between attempts is a timer rather than a sleep, so the
-        calling thread's wait overlaps with every other run's retries.
+        attempt are delivered concurrently; the backoff between attempts is
+        a timer rather than a sleep, so the calling thread's wait overlaps
+        with every other run's retries.
         """
-        if self._scheduler is not None:
-            futures = self.send_batch_scheduled(entries)
-            return [future.outcome() for future in futures]
-        results: List[BatchResult] = [BatchResult() for _ in entries]
-        pending = list(range(len(entries)))
-        for attempt in range(self._policy.max_attempts):
-            if attempt > 0:
-                self._count(attempts=0, retries=len(pending))
-                self._clock.sleep(self._policy.backoff_for_attempt(attempt - 1))
-            self._count(attempts=len(pending), retries=0)
-            to_send: List[int] = []
-            still_pending: List[int] = []
-            for index in pending:
-                refused = self._refused_by_breaker(entries[index][0])
-                if refused is None:
-                    to_send.append(index)
-                else:
-                    results[index] = BatchResult(error=refused)
-                    still_pending.append(index)
-            batch = (
-                self._network.send_batch(
-                    self._source, [entries[index] for index in to_send]
-                )
-                if to_send
-                else []
-            )
-            for index, outcome in zip(to_send, batch):
-                if outcome.error is None:
-                    self._record_outcome(entries[index][0], None)
-                    results[index] = outcome
-                elif isinstance(outcome.error, UnknownEndpointError):
-                    results[index] = outcome  # permanent: retrying cannot help
-                elif isinstance(outcome.error, DeliveryError):
-                    self._record_outcome(entries[index][0], outcome.error)
-                    results[index] = outcome
-                    still_pending.append(index)
-                else:
-                    results[index] = outcome  # handler-raised failure
-            still_pending.sort()
-            pending = still_pending
-            if not pending:
-                break
-        for index in pending:
-            results[index] = BatchResult(error=self._exhausted(entries[index][0], results[index].error))
-        return results
+        return self.send_batch_scheduled(entries).result()
 
     def _exhausted(self, destination: str, last_error: Optional[Exception]) -> DeliveryError:
         return DeliveryError(
@@ -293,14 +205,7 @@ class ReliableChannel:
             f"to {destination!r} in flight: {last_error}"
         )
 
-    # -- scheduled state machines -----------------------------------------------
-
-    def _require_scheduler(self) -> RetryScheduler:
-        if self._scheduler is None:
-            raise DeliveryError(
-                f"channel at {self._source!r} has no retry scheduler attached"
-            )
-        return self._scheduler
+    # -- the delivery state machines ----------------------------------------------
 
     def _schedule_retry(
         self, delay: float, reattempt: Callable[[], None], on_cancel: Callable[[], None]
@@ -312,7 +217,6 @@ class ReliableChannel:
         the reattempt down the same way: the timer leaves the heap and the
         affected futures resolve through ``on_cancel``.
         """
-        scheduler = self._require_scheduler()
         cell: Dict[str, TimerHandle] = {}
 
         def fire() -> None:
@@ -333,7 +237,7 @@ class ReliableChannel:
             if self._closed:
                 on_cancel()
                 return
-            handle = scheduler.schedule(
+            handle = self._scheduler.schedule(
                 delay, fire, run_id=self._run_id, on_cancel=cancelled
             )
             cell["handle"] = handle
@@ -344,149 +248,138 @@ class ReliableChannel:
     ) -> DeliveryFuture:
         """Start the retrying send as a state machine; returns its future.
 
-        The first attempt runs on the calling thread (so a healthy link is
-        exactly as fast as a blocking send); failed attempts schedule their
-        reattempt and return, leaving the thread free.  The future resolves
-        to the destination handler's reply or fails with the same errors
+        The first attempt runs on the calling thread (a healthy link
+        resolves the future before this returns); failed attempts schedule
+        their reattempt and return, leaving the thread free.  The future
+        resolves to the destination handler's reply or fails with the errors
         :meth:`send` raises.
         """
-        scheduler = self._require_scheduler()
-        future = DeliveryFuture(scheduler)
-
-        def retry_or_exhaust(attempt_no: int, error: Exception) -> None:
-            next_attempt = attempt_no + 1
-            if next_attempt >= self._policy.max_attempts:
-                future.fail(self._exhausted(destination, error))
-                return
-            self._schedule_retry(
-                self._policy.backoff_for_attempt(attempt_no),
-                lambda: attempt(next_attempt),
-                on_cancel=lambda: future.fail(
-                    self._closed_in_flight(destination, error)
-                ),
-            )
-
-        def attempt(attempt_no: int) -> None:
-            self._count(attempts=1, retries=1 if attempt_no > 0 else 0)
-            refused = self._refused_by_breaker(destination)
-            if refused is not None:
-                retry_or_exhaust(attempt_no, refused)
-                return
-            try:
-                reply = self._network.send(
-                    self._source, destination, operation, payload
-                )
-            except UnknownEndpointError as error:
-                future.fail(error)  # permanent: no reattempt is scheduled
-                return
-            except DeliveryError as error:
-                self._record_outcome(destination, error)
-                retry_or_exhaust(attempt_no, error)
-                return
-            except Exception as error:  # handler-raised: propagate, no retry
-                future.fail(error)
-                return
-            self._record_outcome(destination, None)
-            future.complete(reply)
-
-        attempt(0)
+        future = DeliveryFuture(self._scheduler)
+        self._attempt_send(future, (destination, operation, payload), 0)
         return future
+
+    def _attempt_send(
+        self, future: DeliveryFuture, entry: Tuple[str, str, Any], attempt_no: int
+    ) -> None:
+        destination = entry[0]
+        self._count(attempts=1, retries=1 if attempt_no > 0 else 0)
+        error: Optional[Exception] = self._refused_by_breaker(destination)
+        if error is None:
+            try:
+                reply = self._network.send(self._source, *entry)
+            except DeliveryError as delivery_error:
+                self._record_outcome(destination, delivery_error)
+                error = delivery_error
+            except Exception as final:  # noqa: BLE001
+                # An unknown endpoint is permanent and a handler-raised
+                # failure is the peer's answer: resolve, never reattempt.
+                future.fail(final)
+                return
+            else:
+                self._record_outcome(destination, None)
+                future.complete(reply)
+                return
+        next_attempt = attempt_no + 1
+        if next_attempt >= self._policy.max_attempts:
+            future.fail(self._exhausted(destination, error))
+            return
+        self._schedule_retry(
+            self._policy.backoff_for_attempt(attempt_no),
+            lambda: self._attempt_send(future, entry, next_attempt),
+            on_cancel=lambda: future.fail(self._closed_in_flight(destination, error)),
+        )
 
     def send_batch_scheduled(
         self, entries: List[Tuple[str, str, Any]]
-    ) -> List[DeliveryFuture]:
-        """Start a retrying fan-out; returns one future per entry.
+    ) -> DeliveryFuture:
+        """Start a retrying fan-out; returns the wave's completion future.
 
-        Retry grouping matches :meth:`send_batch` exactly -- all
-        still-pending entries of one attempt go through a single network
-        batch and share one backoff timer -- so attempt accounting, network
-        statistics and fault-model draws are identical to the blocking path.
-        Entry futures resolve individually (to the entry's
-        :class:`BatchResult`) as soon as their outcome is decided; only the
-        still-failing remainder stays in the state machine.
+        The future resolves to one :class:`BatchResult` per entry, in entry
+        order, once every entry is decided (delivered, failed permanently,
+        or out of budget).  All still-pending entries of one attempt go
+        through a single network batch and share one backoff timer, so
+        attempt accounting, network statistics and fault draws do not depend
+        on how many entries fail.
         """
-        scheduler = self._require_scheduler()
-        futures = [DeliveryFuture(scheduler) for _ in entries]
+        future = DeliveryFuture(self._scheduler)
+        results: List[BatchResult] = [BatchResult() for _ in entries]
+        self._attempt_batch(future, entries, results, 0, list(range(len(entries))))
+        return future
 
-        def attempt(attempt_no: int, pending: List[int], last: Dict[int, Exception]) -> None:
-            self._count(
-                attempts=len(pending),
-                retries=len(pending) if attempt_no > 0 else 0,
-            )
-            to_send: List[int] = []
-            still_pending: List[int] = []
-            for index in pending:
-                refused = self._refused_by_breaker(entries[index][0])
-                if refused is None:
-                    to_send.append(index)
-                else:
-                    last[index] = refused
-                    still_pending.append(index)
-            try:
-                batch = (
-                    self._network.send_batch(
-                        self._source, [entries[index] for index in to_send]
-                    )
-                    if to_send
-                    else []
+    def _attempt_batch(
+        self,
+        future: DeliveryFuture,
+        entries: List[Tuple[str, str, Any]],
+        results: List[BatchResult],
+        attempt_no: int,
+        pending: List[int],
+    ) -> None:
+        self._count(
+            attempts=len(pending),
+            retries=len(pending) if attempt_no > 0 else 0,
+        )
+        to_send: List[int] = []
+        still_pending: List[int] = []
+        for index in pending:
+            refused = self._refused_by_breaker(entries[index][0])
+            if refused is None:
+                to_send.append(index)
+            else:
+                results[index] = BatchResult(error=refused)
+                still_pending.append(index)
+        try:
+            batch = (
+                self._network.send_batch(
+                    self._source, [entries[index] for index in to_send]
                 )
-            except Exception as error:  # noqa: BLE001 - must resolve the wave
-                # The first attempt runs on the calling thread: propagate,
-                # exactly like the blocking loop would (programming errors
-                # stay loud).  Deferred reattempts fire on arbitrary driving
-                # threads, where an escaping exception would leave every
-                # pending future unresolved (and its waiters spinning) -- so
-                # there infrastructure failures resolve the wave instead.
-                if attempt_no == 0:
-                    raise
-                for index in pending:
-                    futures[index].complete(BatchResult(error=error))
-                return
-            for index, outcome in zip(to_send, batch):
-                if outcome.error is None or isinstance(
-                    outcome.error, UnknownEndpointError
-                ):
-                    if outcome.error is None:
-                        self._record_outcome(entries[index][0], None)
-                    futures[index].complete(outcome)
-                elif isinstance(outcome.error, DeliveryError):
-                    self._record_outcome(entries[index][0], outcome.error)
-                    last[index] = outcome.error
-                    still_pending.append(index)
-                else:
-                    futures[index].complete(outcome)  # handler-raised failure
-            still_pending.sort()
-            if not still_pending:
-                return
-            next_attempt = attempt_no + 1
-            if next_attempt >= self._policy.max_attempts:
-                for index in still_pending:
-                    futures[index].complete(
-                        BatchResult(
-                            error=self._exhausted(entries[index][0], last.get(index))
-                        )
-                    )
-                return
-
-            def cancel_pending() -> None:
-                for index in still_pending:
-                    futures[index].complete(
-                        BatchResult(
-                            error=self._closed_in_flight(
-                                entries[index][0], last.get(index)
-                            )
-                        )
-                    )
-
-            self._schedule_retry(
-                self._policy.backoff_for_attempt(attempt_no),
-                lambda: attempt(next_attempt, still_pending, last),
-                on_cancel=cancel_pending,
+                if to_send
+                else []
             )
+        except Exception as error:  # noqa: BLE001 - must resolve the wave
+            # The first attempt runs on the calling thread: propagate
+            # (programming errors stay loud).  Deferred reattempts fire on
+            # arbitrary driving threads, where an escaping exception would
+            # leave the future unresolved (and its waiters spinning) -- so
+            # there infrastructure failures resolve the wave instead.
+            if attempt_no == 0:
+                raise
+            for index in pending:
+                results[index] = BatchResult(error=error)
+            future.complete(results)
+            return
+        for index, outcome in zip(to_send, batch):
+            results[index] = outcome
+            error = outcome.error
+            if error is None:
+                self._record_outcome(entries[index][0], None)
+            elif isinstance(error, DeliveryError):
+                self._record_outcome(entries[index][0], error)
+                still_pending.append(index)
+            # Anything else is decided: an unknown endpoint is permanent
+            # and a handler-raised failure is the peer's answer.
+        if not still_pending:
+            future.complete(results)
+            return
+        still_pending.sort()
 
-        if entries:
-            attempt(0, list(range(len(entries))), {})
-        return futures
+        def give_up(describe: Callable[[str, Optional[Exception]], DeliveryError]) -> None:
+            for index in still_pending:
+                results[index] = BatchResult(
+                    error=describe(entries[index][0], results[index].error)
+                )
+            future.complete(results)
+
+        next_attempt = attempt_no + 1
+        if next_attempt >= self._policy.max_attempts:
+            give_up(self._exhausted)
+            return
+        self._schedule_retry(
+            self._policy.backoff_for_attempt(attempt_no),
+            lambda: self._attempt_batch(
+                future, entries, results, next_attempt, still_pending
+            ),
+            on_cancel=lambda: give_up(self._closed_in_flight),
+        )
 
     # -- teardown ---------------------------------------------------------------
 

@@ -388,7 +388,6 @@ class SimulatedNetwork:
         fault_model: Optional[FaultModel] = None,
         clock: Optional[Clock] = None,
         dispatch: Optional[DispatchStrategy] = None,
-        retry_scheduler: Optional["RetryScheduler"] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if fault_model is not None and fault_plan is not None:
@@ -397,10 +396,10 @@ class SimulatedNetwork:
         self.fault_plan = fault_plan
         self.clock = clock or SimulatedClock()
         self.dispatch = dispatch or SequentialDispatch()
-        #: When set, every :class:`repro.transport.delivery.ReliableChannel`
-        #: created on this network defaults to event-driven (scheduled)
-        #: retries instead of blocking backoff sleeps.
-        self.retry_scheduler = retry_scheduler
+        #: The timer heap of this network, on this clock: every reliable
+        #: channel retries on it and it carries the deadlines of the
+        #: protocol runs above.
+        self.retry_scheduler = RetryScheduler(self.clock)
         self.partition = NetworkPartition()
         self.statistics = NetworkStatistics()
         #: Optional per-peer breaker consulted by channels over this network
@@ -421,11 +420,11 @@ class SimulatedNetwork:
         """Switch the handler-dispatch strategy for subsequent batches."""
         self.dispatch = dispatch
 
-    def set_retry_scheduler(self, scheduler: Optional["RetryScheduler"]) -> None:
-        """Attach (or detach, with ``None``) the event-driven retry scheduler.
+    def set_retry_scheduler(self, scheduler: RetryScheduler) -> None:
+        """Replace the retry scheduler (it must run on this network's clock).
 
         Only channels created after the switch pick the scheduler up; live
-        channels keep the mode they were created with.
+        channels keep the one they were created with.
         """
         self.retry_scheduler = scheduler
 

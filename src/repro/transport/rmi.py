@@ -10,7 +10,9 @@ remote-object machinery:
 * a :class:`RemoteProxy` is a client-side dynamic proxy whose attribute
   accesses become network sends (mirroring JBoss's dynamic proxies);
 * a :class:`RemoteInvoker` owns the endpoint for one address (one
-  organisation / server) and can host many exported objects.
+  organisation / server) and can host many exported objects.  Its batched
+  calls start one reliable fan-out wave and return a :class:`RemoteCallBatch`
+  completion handle; the blocking ``call_batch`` is a wait on that handle.
 
 Exceptions raised by the remote implementation are propagated to the caller
 wrapped in :class:`RemoteInvocationError` with the original type preserved in
@@ -19,13 +21,12 @@ the payload.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RemoteInvocationError, UnknownEndpointError
 from repro.transport.delivery import ReliableChannel, RetryPolicy
-from repro.transport.network import BatchResult, Message, SimulatedNetwork
-from repro.transport.scheduler import DeliveryFuture, wait_all
+from repro.transport.network import Message, SimulatedNetwork
+from repro.transport.scheduler import DeliveryFuture
 
 #: One entry of a batched remote call:
 #: ``(remote_address, object_name, method, args, kwargs)``.
@@ -146,15 +147,12 @@ class RemoteInvoker:
     ) -> "RemoteCallBatch":
         """Start a batched remote fan-out; returns its completion handle.
 
-        With a retry scheduler on the network the call returns as soon as
-        the first delivery attempts have run: failed entries wait for their
-        backoff as scheduler timers, not as sleeps, and resolve through
-        per-entry futures.  Without a scheduler the batch executes eagerly
-        (the classic blocking loop) and the returned handle is already
-        complete -- callers can treat both cases uniformly through
-        :meth:`RemoteCallBatch.results`.  ``run_id`` tags the fan-out's retry
-        timers with the protocol run they serve, so aborting the run
-        (``RetryScheduler.cancel_run``) withdraws them in one sweep.
+        The call returns as soon as the first delivery attempts have run --
+        on a healthy network the handle is then already complete; failed
+        entries wait for their backoff as scheduler timers, not as sleeps.
+        ``run_id`` tags the fan-out's retry timers with the protocol run
+        they serve, so aborting the run (``RetryScheduler.cancel_run``)
+        withdraws them in one sweep.
         """
         channel = ReliableChannel(
             self._network, self._address, retry_policy, run_id=run_id
@@ -167,69 +165,40 @@ class RemoteInvoker:
             )
             for address, object_name, method, args, kwargs in calls
         ]
-        if channel.scheduler is not None:
-            return RemoteCallBatch(
-                calls, futures=channel.send_batch_scheduled(entries), channel=channel
-            )
-        return RemoteCallBatch(calls, outcomes=channel.send_batch(entries))
+        return RemoteCallBatch(calls, channel.send_batch_scheduled(entries), channel)
 
 
 class RemoteCallBatch:
     """Completion handle of one :meth:`RemoteInvoker.call_batch_async` fan-out."""
 
     def __init__(
-        self,
-        calls: List[RemoteCall],
-        futures: Optional[List[DeliveryFuture]] = None,
-        outcomes: Optional[List[BatchResult]] = None,
-        channel: Optional[ReliableChannel] = None,
+        self, calls: List[RemoteCall], future: DeliveryFuture, channel: ReliableChannel
     ) -> None:
         self._calls = calls
-        self._futures = futures
-        self._outcomes = outcomes
+        self._future = future
         self._channel = channel
 
     def done(self) -> bool:
-        if self._futures is None:
-            return True
-        return all(future.done() for future in self._futures)
+        return self._future.done()
 
     def cancel(self) -> None:
-        """Withdraw the batch's pending retries; their futures fail "closed".
+        """Withdraw the batch's pending retries; its entries fail "closed".
 
         Goes through :meth:`ReliableChannel.close`, whose closed flag is
         re-checked by every firing reattempt -- so even a retry wave that is
-        mid-flight when the cancel lands schedules no further timers.  An
-        eager (schedulerless) batch is already complete; cancelling it is a
-        no-op.
+        mid-flight when the cancel lands schedules no further timers.
         """
-        if self._channel is not None:
-            self._channel.close()
+        self._channel.close()
 
     def add_done_callback(self, callback: Callable[["RemoteCallBatch"], None]) -> None:
         """Invoke ``callback(self)`` once every entry of the batch resolved.
 
-        The continuation hook of the async protocol engine: an eager
-        (schedulerless) batch fires immediately on the calling thread, a
-        scheduled batch fires on whichever thread resolves the last pending
-        entry.  Same contract as :meth:`DeliveryFuture.add_done_callback` --
-        do not block, trap your own exceptions.
+        Same contract as :meth:`DeliveryFuture.add_done_callback`: an
+        already-complete batch fires on the calling thread, otherwise the
+        thread that resolves the last pending entry does -- do not block,
+        trap your own exceptions.
         """
-        if self._futures is None or not self._futures:
-            callback(self)
-            return
-        remaining = {"count": len(self._futures)}
-        lock = threading.Lock()
-
-        def entry_done(_future: DeliveryFuture) -> None:
-            with lock:
-                remaining["count"] -= 1
-                last = remaining["count"] == 0
-            if last:
-                callback(self)
-
-        for future in self._futures:
-            future.add_done_callback(entry_done)
+        self._future.add_done_callback(lambda _future: callback(self))
 
     def results(self) -> List[Tuple[Any, Optional[Exception]]]:
         """Wait for every entry and unwrap replies into (result, error) pairs.
@@ -237,11 +206,8 @@ class RemoteCallBatch:
         Waiting drives the retry scheduler, so a caller blocked here fires
         other runs' due retries instead of idling.
         """
-        if self._outcomes is None:
-            wait_all(self._futures)
-            self._outcomes = [future.outcome() for future in self._futures]
         results: List[Tuple[Any, Optional[Exception]]] = []
-        for call, outcome in zip(self._calls, self._outcomes):
+        for call, outcome in zip(self._calls, self._future.result()):
             if outcome.error is not None:
                 results.append((None, outcome.error))
                 continue

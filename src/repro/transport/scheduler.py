@@ -1,20 +1,18 @@
-"""Event-driven retry scheduling for the transport layer.
+"""The timer heap and completion handles every reliable send runs on.
 
-:class:`repro.transport.delivery.ReliableChannel` originally slept through
-every retry backoff on the calling thread, so one flaky link parked a whole
-protocol run (and, under a simulated clock, *summed* the backoffs of
-concurrent runs into the virtual timeline).  This module replaces the sleeps
-with deadline timers:
+:class:`repro.transport.delivery.ReliableChannel` never sleeps through a
+retry backoff: a failed attempt registers a deferred reattempt here and
+returns, and whoever needs the reply waits on a completion handle.
 
 * :class:`RetryScheduler` owns a heap of pending timers keyed on the
-  channel's clock.  A failed send registers a deferred reattempt (a timer)
-  and returns immediately; the worker that observed the failure is free to
-  do other work during the backoff.
-* :class:`DeliveryFuture` is the completion handle of one scheduled delivery.
-  Waiting on a future *drives* the scheduler: the waiting thread fires due
-  timers (its own or any other run's) and advances a virtual clock to the
-  next deadline, so concurrent runs overlap their retry waits instead of
-  queueing behind each other.
+  network's clock (every network constructs one on its own clock).
+* :class:`DeliveryFuture` is the completion handle of one scheduled send or
+  one fan-out wave.  A handle nobody waits on costs a few attribute stores:
+  it is resolved without touching the scheduler lock, and ``result()`` on a
+  resolved handle returns at once.  Waiting on an unresolved handle *drives*
+  the scheduler: the waiting thread fires due timers (its own or any other
+  run's) and advances a virtual clock to the next deadline, so concurrent
+  runs overlap their retry waits instead of queueing behind each other.
 * :class:`TimerHandle` supports cancellation, which
   :meth:`ReliableChannel.close` uses to withdraw in-flight retries without
   leaking timers.  Timers carry an optional *run tag* so every timer
@@ -22,19 +20,18 @@ with deadline timers:
   alike -- can be withdrawn together with :meth:`RetryScheduler.cancel_run`
   when the run is aborted or times out.
 
-Beyond retries, the same deadline heap schedules *protocol* timeouts: a
-fair-exchange abort deadline or a membership-change expiry is just a timer
-whose callback aborts the pending run and releases its resources, instead of
-a thread parked in a wait.
+Beyond retries, the same deadline heap schedules *protocol* timeouts: a run
+deadline, a fair-exchange abort deadline, a responder's orphan-run expiry or
+an outcome re-delivery is just a timer whose callback does the work, instead
+of a thread parked in a wait.
 
 Clock integration: on a *virtual* clock (``clock.virtual``) a driving thread
 reaches the next deadline with the idempotent ``clock.advance_to`` -- racing
-drivers advance time once, not once each, which is exactly the overlap the
-event-driven design buys.  On a wall clock the driver waits on the scheduler
-condition (so a newly scheduled earlier timer or a cancellation wakes it) and
-fires whatever has become due; due callbacks are fanned out on the shared
-executor (:func:`repro.parallel.submit`) so one driver can re-send over many
-slow links concurrently.
+drivers advance time once, not once each.  On a wall clock the driver waits
+on the scheduler condition (so a newly scheduled earlier timer or a
+cancellation wakes it) and fires whatever has become due; due callbacks are
+fanned out on the shared executor (:func:`repro.parallel.submit`) so one
+driver can re-send over many slow links concurrently.
 """
 
 from __future__ import annotations
@@ -43,7 +40,8 @@ import heapq
 import itertools
 import threading
 import time
-from typing import Any, Callable, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from repro import parallel
 from repro.clock import Clock
@@ -133,12 +131,28 @@ class TimerHandle:
 
 
 class AdvanceHold:
-    """Handle of one :meth:`RetryScheduler.hold_advance`; release exactly once."""
+    """Handle of one :meth:`RetryScheduler.hold_advance`; release exactly once.
+
+    ``with hold:`` runs the held work on the calling thread and releases the
+    hold afterwards.  For the block the hold counts as the thread's own, so
+    a wait nested inside the work (a relay handler waiting on a delivery of
+    its own) can still drive virtual time forward instead of livelocking on
+    the hold it is running under.
+    """
 
     __slots__ = ("_scheduler",)
 
     def __init__(self, scheduler: "RetryScheduler") -> None:
         self._scheduler = scheduler
+
+    def __enter__(self) -> "AdvanceHold":
+        local = self._scheduler._local_holds
+        local.count = getattr(local, "count", 0) + 1
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._scheduler._local_holds.count -= 1
+        self.release()
 
     def release(self) -> None:
         scheduler, self._scheduler = self._scheduler, None
@@ -193,24 +207,25 @@ class Quiescence:
 
 
 class DeliveryFuture:
-    """Completion handle for one scheduled delivery.
+    """Completion handle for one scheduled delivery (or one fan-out wave).
 
     Exactly one of ``complete``/``fail`` is ever called, by the retry state
     machine that owns the future.  ``result()`` drives the owning scheduler
     while waiting, so a thread blocked on its own delivery keeps the whole
-    timer wheel moving (see module docstring).
+    timer heap moving (see module docstring).  Waiters block on the
+    scheduler's condition, so a handle carries no event of its own.
     """
 
-    def __init__(self, scheduler: Optional["RetryScheduler"] = None) -> None:
+    def __init__(self, scheduler: "RetryScheduler") -> None:
         self._scheduler = scheduler
-        self._event = threading.Event()
+        self._done = False
         self._result: Any = None
         self._error: Optional[BaseException] = None
         self._callback_lock = threading.Lock()
         self._callbacks: List[Callable[["DeliveryFuture"], None]] = []
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     @property
     def error(self) -> Optional[BaseException]:
@@ -222,26 +237,25 @@ class DeliveryFuture:
 
         An already-resolved future fires the callback immediately on the
         calling thread; otherwise it fires on whichever thread resolves the
-        future.  Callbacks are the continuation hook of the async protocol
-        engine -- they must not block (offload real work with
+        future.  Callbacks are the continuation hook of the run engine --
+        they must not block (offload real work with
         :func:`repro.parallel.submit`) and must trap their own exceptions.
         """
         with self._callback_lock:
-            if not self._event.is_set():
+            if not self._done:
                 self._callbacks.append(callback)
                 return
         callback(self)
 
     def _resolve(self, result: Any, error: Optional[BaseException]) -> None:
         with self._callback_lock:
-            if self._event.is_set():
+            if self._done:
                 return
             self._result = result
             self._error = error
-            self._event.set()
+            self._done = True
             callbacks, self._callbacks = self._callbacks, []
-        if self._scheduler is not None:
-            self._scheduler._notify()
+        self._scheduler._wake()
         for callback in callbacks:
             callback(self)
 
@@ -254,16 +268,13 @@ class DeliveryFuture:
     def result(self, timeout: Optional[float] = None) -> Any:
         """Wait for completion; raise the delivery error if it failed.
 
-        With a scheduler attached the calling thread participates in driving
-        timers; without one it simply blocks.  ``timeout`` is wall-clock
-        seconds and exists as a safety net for tests; the budget is shared
-        between driving and the final wait, not paid twice.
+        The calling thread participates in driving timers while it waits.
+        ``timeout`` is wall-clock seconds and exists as a safety net for
+        tests.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        if self._scheduler is not None:
-            self._scheduler.drive_until(self.done, timeout=timeout)
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-        if not self._event.wait(remaining):
+        if not self._done and not self._scheduler.drive_until(
+            self.done, timeout=timeout
+        ):
             raise TimeoutError("delivery future was not completed in time")
         if self._error is not None:
             raise self._error
@@ -326,6 +337,12 @@ class RetryScheduler:
         # protocol *deadlines* over runs that are actively progressing.
         self._holds = 0
         self._local_holds = threading.local()
+        # Threads inside a ``_waiting()`` section, and the holds those
+        # threads are working under: a thread parked in a wait nested inside
+        # its own held work is waiting, not working, so its holds must not
+        # stop another driver from moving virtual time on.
+        self._waiters = 0
+        self._parked_holds = 0
         self.timers_scheduled = 0
         self.timers_fired = 0
         self.timers_cancelled = 0
@@ -430,25 +447,51 @@ class RetryScheduler:
                 if entry[2].run_id == run_id and entry[2]._state == _PENDING
             )
 
-    def _notify(self) -> None:
-        with self._condition:
-            self._condition.notify_all()
+    def _wake(self) -> None:
+        """Wake waiting drivers after a state change made outside the lock."""
+        if self._waiters:
+            with self._condition:
+                self._condition.notify_all()
 
     # -- advance holds ------------------------------------------------------------
 
     def hold_advance(self) -> "AdvanceHold":
         """Forbid virtual-time advancement until the hold is released.
 
-        Taken by the async protocol engine around in-flight continuations:
+        Taken by the run engine around a run's synchronous stretches:
         between "a fan-out completed" and "the next phase registered its own
         timers", a run is working, not waiting, and a driver that advanced
         the virtual clock to the next heap deadline could expire the run's
-        own deadline out from under it.  The hold may be released from a
-        different thread (continuations hop to the executor).
+        own deadline out from under it.  The hold may be taken on one thread
+        and used (``with hold:``) on another: continuations hop to the
+        executor.
         """
         with self._condition:
             self._holds += 1
         return AdvanceHold(self)
+
+    def resume(self, work: Callable[[], None]) -> None:
+        """Resume engine ``work`` that a completion callback has unblocked.
+
+        Called on the thread that resolved the awaited delivery -- usually a
+        driver in the middle of firing timers.  Where the work runs follows
+        the rule of :meth:`_fire`: on a virtual clock inline, in resolution
+        order (deterministic, and there is no real latency a second thread
+        could overlap); on a wall clock on the shared executor, so the
+        driver goes back to its timers while the work signs and sends.
+        Either way the work runs under an advance hold taken here, so it
+        also counts against quiescence until it is done.
+        """
+        hold = self.hold_advance()
+
+        def step() -> None:
+            with hold:
+                work()
+
+        if self._clock.virtual:
+            step()
+        else:
+            parallel.submit(step)
 
     def _release_hold(self) -> None:
         with self._condition:
@@ -456,14 +499,36 @@ class RetryScheduler:
             self._condition.notify_all()
 
     def _blocked_on_work_locked(self) -> bool:
-        """True when some *other* thread holds back virtual-time advancement.
+        """True when a thread that is *working* holds back virtual time.
 
-        Holds taken by the asking thread itself are excluded so that work
-        nested inside a firing callback (a handler that waits on a delivery
-        of its own) can still drive time forward instead of livelocking on
-        its own hold.
+        Asked from inside a :meth:`_waiting` section.  The holds of every
+        thread parked in such a section -- the asking thread included -- are
+        excluded: work nested inside held work (a relay handler inside a
+        run's fan-out, a handler inside a firing callback) that waits on a
+        delivery of its own can still drive time forward instead of
+        livelocking on its own hold, and two such threads cannot deadlock on
+        each other's.
         """
-        return self._holds - getattr(self._local_holds, "count", 0) > 0
+        return self._holds > self._parked_holds
+
+    @contextmanager
+    def _waiting(self) -> Iterator[None]:
+        """Enter the condition as a waiter (for one check-then-wait).
+
+        The thread is counted in ``_waiters`` *before* its last predicate
+        check, both under the lock, so either it sees a state change made
+        outside the lock or :meth:`_wake` sees the waiter -- a wake-up is
+        never lost, and a resolve that nobody waits for stays lock-free.
+        """
+        mine = getattr(self._local_holds, "count", 0)
+        with self._condition:
+            self._waiters += 1
+            self._parked_holds += mine
+            try:
+                yield
+            finally:
+                self._waiters -= 1
+                self._parked_holds -= mine
 
     # -- quiescence ---------------------------------------------------------------
 
@@ -521,7 +586,7 @@ class RetryScheduler:
                 return True
             if deadline_wall is not None and time.monotonic() >= deadline_wall:
                 return self.is_quiescent(until)
-            with self._condition:
+            with self._waiting():
                 due_deadline = self._next_deadline_locked()
                 in_horizon = due_deadline is not None and (
                     until is None or due_deadline <= until
@@ -583,12 +648,12 @@ class RetryScheduler:
         if self._clock.virtual or len(due) == 1:
             for handle in due:
                 handle._run_callback()
-            self._notify()
+            self._wake()
             return
         for handle in due[1:]:
             parallel.submit(handle._run_callback)
         due[0]._run_callback()
-        self._notify()
+        self._wake()
 
     def fire_due(self) -> int:
         """Fire everything currently due; returns how many timers fired.
@@ -604,13 +669,8 @@ class RetryScheduler:
                 self._holds += 1
         if not due:
             return 0
-        local = self._local_holds
-        local.count = getattr(local, "count", 0) + 1
-        try:
+        with AdvanceHold(self):
             self._fire(due)
-        finally:
-            local.count -= 1
-            self._release_hold()
         return len(due)
 
     def drive_until(
@@ -632,7 +692,7 @@ class RetryScheduler:
                 continue
             if predicate():
                 return True
-            with self._condition:
+            with self._waiting():
                 # Re-check under the lock: a timer may have become due (or
                 # the predicate may have flipped) between fire_due and here.
                 due_deadline = self._next_deadline_locked()

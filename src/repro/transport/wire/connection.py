@@ -10,9 +10,8 @@ parallel dispatch strategy overlap a fan-out's socket round trips.
 Failure model: every socket-level failure (connect refused, reset, timeout,
 EOF mid-frame) closes the affected connection, removes it from the pool and
 surfaces as a retryable :class:`~repro.errors.DeliveryError`.  The existing
-retry state machines (:class:`repro.transport.delivery.ReliableChannel`,
-scheduled or blocking) then drive recovery: their next attempt simply opens
-a fresh connection.  :meth:`ConnectionPool.kill` closes live sockets on
+retry state machines (:class:`repro.transport.delivery.ReliableChannel`)
+then drive recovery: their next attempt simply opens a fresh connection.  :meth:`ConnectionPool.kill` closes live sockets on
 purpose, and :meth:`ConnectionPool.request` accepts an injected ``fault``
 ("reset" kills the socket under the request, "corrupt-frame" sends a
 deliberately malformed frame) -- both flow through the *same* discard +

@@ -15,7 +15,7 @@ The class exposes the same ``register`` / ``send`` / ``send_batch`` surface
 the simulator, so every layer above -- :class:`~repro.transport.delivery.
 ReliableChannel` state machines, :class:`~repro.transport.scheduler.
 RetryScheduler` futures, :class:`~repro.transport.network.ParallelDispatch`,
-the async run engine -- works unchanged on real sockets.
+the run engine -- works unchanged on real sockets.
 
 Invariants preserved relative to the simulator:
 
@@ -119,7 +119,6 @@ class WireNetwork:
         port: int = 0,
         clock: Optional[Clock] = None,
         dispatch: Optional[DispatchStrategy] = None,
-        retry_scheduler: Optional[RetryScheduler] = None,
         address_book: Optional[PeerAddressBook] = None,
         connection_pool: Optional[ConnectionPool] = None,
         system_handlers: Optional[Dict[str, Callable[[Any], Any]]] = None,
@@ -128,7 +127,7 @@ class WireNetwork:
     ) -> None:
         self.clock = clock or SystemClock()
         self.dispatch = dispatch or SequentialDispatch()
-        self.retry_scheduler = retry_scheduler
+        self.retry_scheduler = RetryScheduler(self.clock)
         self.address_book = address_book or PeerAddressBook()
         self.statistics = NetworkStatistics()
         self.pool = connection_pool or ConnectionPool()
@@ -183,8 +182,8 @@ class WireNetwork:
         """Switch the handler-dispatch strategy for subsequent batches."""
         self.dispatch = dispatch
 
-    def set_retry_scheduler(self, scheduler: Optional[RetryScheduler]) -> None:
-        """Attach (or detach) the event-driven retry scheduler (see simulator)."""
+    def set_retry_scheduler(self, scheduler: RetryScheduler) -> None:
+        """Replace the retry scheduler (see simulator)."""
         self.retry_scheduler = scheduler
 
     # -- endpoint management -------------------------------------------------------

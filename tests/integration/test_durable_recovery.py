@@ -18,6 +18,7 @@ from repro import TrustDomain
 from repro.clock import SimulatedClock
 from repro.core.sharing import set_run_fault_injector
 from repro.crypto.signature import get_scheme
+from repro.errors import PersistenceError
 from repro.persistence.run_journal import PHASE_COMMITTED, PHASE_PROPOSED
 from repro.persistence.storage import InMemoryBackend
 
@@ -163,6 +164,41 @@ class TestCrashAfterCommitBarrier:
         assert evidence_summary(b, run_id) == evidence_summary(c, run_id)
         assert evidence_summary(b, run_id)  # non-empty
 
+    def test_failed_local_apply_after_commit_stays_committed_and_recovers(self):
+        """A run that fails *after* the barrier must stay recoverable.
+
+        The proposer's local apply raises once (a storage error): both
+        peers already applied the outcome, so journaling the run as settled
+        would strand the proposer one version behind for good.
+        """
+        domain = durable_domain()
+        proposer = domain.organisation(URIS[0])
+        controller = proposer.controller
+        apply_update, failures = controller._apply_update, []  # noqa: SLF001
+
+        def failing_once(*args, **kwargs):
+            if not failures:
+                failures.append(args)
+                raise PersistenceError("state store unavailable")
+            return apply_update(*args, **kwargs)
+
+        controller._apply_update = failing_once  # noqa: SLF001
+        with pytest.raises(PersistenceError, match="state store unavailable"):
+            proposer.propose_update(OBJECT_ID, {"clauses": ["delivery"]})
+        assert versions(domain) == [0, 1, 1]
+        journaled = controller.run_journal.open_runs()
+        assert [run.phase for run in journaled] == [PHASE_COMMITTED]
+
+        recovered = domain.recover_runs()
+        assert recovered[URIS[0]] == {journaled[0].run_id: "resumed"}
+        assert versions(domain) == [1, 1, 1]
+        digests = {
+            domain.organisation(uri).controller.state_digest(OBJECT_ID)
+            for uri in URIS
+        }
+        assert len(digests) == 1
+        assert domain.recover_runs() == {uri: {} for uri in URIS}
+
     def test_double_recovery_is_idempotent(self):
         domain = durable_domain()
         proposer = domain.organisation(URIS[0])
@@ -255,9 +291,7 @@ class TestRestartedOrganisationRecovers:
 class TestOrphanExpiry:
     def orphaned_domain(self, timeout=5.0):
         clock = SimulatedClock()
-        domain = durable_domain(
-            scheduled_retries=True, clock=clock, orphan_run_timeout=timeout
-        )
+        domain = durable_domain(clock=clock, orphan_run_timeout=timeout)
         proposer = domain.organisation(URIS[0])
         crash_once_at("after-journal-committed")
         with pytest.raises(SimulatedCrash):
@@ -307,9 +341,7 @@ class TestOrphanExpiry:
 
     def test_outcome_delivery_cancels_the_watch_in_healthy_runs(self):
         clock = SimulatedClock()
-        domain = durable_domain(
-            scheduled_retries=True, clock=clock, orphan_run_timeout=5.0
-        )
+        domain = durable_domain(clock=clock, orphan_run_timeout=5.0)
         outcome = domain.organisation(URIS[0]).propose_update(
             OBJECT_ID, {"clauses": ["delivery"]}
         )

@@ -200,7 +200,6 @@ class ResponderHost:
             transport=self.transport,
             scheme="hmac",
             durable_runs=True,
-            scheduled_retries=True,
             orphan_run_timeout=orphan_run_timeout,
         )
         self.domain.share_object(OBJECT_ID, dict(INITIAL_STATE))

@@ -1,4 +1,4 @@
-"""Property-based tests of the protocol-level invariants (DESIGN.md §5).
+"""Property-based tests of the protocol-level invariants.
 
 These run whole protocol instances per example, so the domains use the
 lightweight HMAC scheme and the example counts are kept modest; the goal is

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.clock import SimulatedClock
+from repro.core.config import DomainConfig, DurabilityConfig, TransportConfig
 from repro.core.sharing import set_run_fault_injector
 from repro.core.trust_domain import TrustDomain
 
@@ -41,7 +42,6 @@ def _build(orphan_timeout: float = 10_000.0) -> TrustDomain:
         clock=SimulatedClock(),
         durable_state=True,
         outcome_redelivery=True,
-        scheduled_retries=True,
         orphan_run_timeout=orphan_timeout,
     )
 
@@ -272,3 +272,70 @@ def test_orphan_expiry_cancels_while_outcome_application_in_progress():
     # heals the replica as usual.
     _heal_via_redelivery(domain, outcome)
     _assert_converged(domain, outcome.run_id)
+
+
+# -- each recovery feature acts on its own: nothing else has to be switched on -------
+
+
+def _domain_with(durability: DurabilityConfig) -> TrustDomain:
+    return TrustDomain.create(
+        URIS,
+        config=DomainConfig(
+            scheme="hmac",
+            transport=TransportConfig(clock=SimulatedClock()),
+            durability=durability,
+        ),
+    )
+
+
+def test_outcome_redelivery_alone_redelivers_and_converges():
+    domain = _domain_with(DurabilityConfig(outcome_redelivery=True))
+    outcome = _excluded_wave(domain)
+
+    _heal_via_redelivery(domain, outcome)
+
+    _assert_converged(domain, outcome.run_id)
+    events = [
+        record.details.get("event")
+        for record in domain.organisation(PROPOSER).audit_records(
+            subject=outcome.run_id
+        )
+    ]
+    assert events.index("outcome-redelivery-scheduled") < events.index(
+        "outcome-redelivery-complete"
+    )
+    assert domain.retry_scheduler.pending_timers() == 0
+
+
+def test_orphan_run_timeout_alone_expires_an_orphaned_proposal():
+    domain = _domain_with(DurabilityConfig(orphan_run_timeout=5.0))
+    domain.share_object(OBJECT_ID, {"n": 0})
+
+    class ProposerDied(Exception):
+        pass
+
+    def die_at_the_barrier(stage, run):
+        if stage == "after-journal-committed":
+            raise ProposerDied(run.run_id)
+
+    set_run_fault_injector(die_at_the_barrier)
+    try:
+        future = domain.organisation(PROPOSER).propose_update_async(
+            OBJECT_ID, {"n": 1}
+        )
+    finally:
+        set_run_fault_injector(None)
+    assert isinstance(future.error, ProposerDied)
+    responders = [domain.organisation(uri) for uri in (RESPONDER, EXCLUDED)]
+    for responder in responders:
+        assert responder.controller.pending_orphan_watches() == [future.run_id]
+
+    # The outcome never comes; only virtual time passing can end the wait.
+    domain.retry_scheduler.drive_until(
+        lambda: not any(r.controller.pending_orphan_watches() for r in responders)
+    )
+    assert domain.network.clock.now() >= 5.0
+    for responder in responders:
+        assert "orphan-run-expired" in _events(responder, future.run_id)
+        assert responder.shared_version(OBJECT_ID) == 0
+    assert domain.retry_scheduler.pending_timers() == 0

@@ -103,7 +103,7 @@ def _simulated_run(parties, values):
     }
 
 
-def _wire_run(parties, split, values, scheduled_retries=False):
+def _wire_run(parties, split, values):
     uris = _uris(parties)
     local_a, local_b = uris[:split], uris[split:]
     with WireTransport(
@@ -115,12 +115,8 @@ def _wire_run(parties, split, values, scheduled_retries=False):
         await_remote_credentials=False,
         clock=SimulatedClock(),
     ) as tb:
-        da = TrustDomain.create(
-            uris, transport=ta, scheme="hmac", scheduled_retries=scheduled_retries
-        )
-        db = TrustDomain.create(
-            uris, transport=tb, scheme="hmac", scheduled_retries=scheduled_retries
-        )
+        da = TrustDomain.create(uris, transport=ta, scheme="hmac")
+        db = TrustDomain.create(uris, transport=tb, scheme="hmac")
         ta.introduce_to(tb.host, tb.port)
         tb.introduce_to(ta.host, ta.port)
         da.share_object(OBJECT_ID, {"v": 0})
@@ -163,13 +159,6 @@ class TestWireEquivalence:
         assert wired["evidence"] == reference["evidence"]
         assert wired["states"] == reference["states"]
         assert wired["stats"]["dropped"] == 0
-
-    def test_scheduled_retry_engine_matches_too(self):
-        reference = _simulated_run(3, [1, 2])
-        wired = _wire_run(3, 1, [1, 2], scheduled_retries=True)
-        assert wired["stats"] == reference["stats"]
-        assert wired["evidence"] == reference["evidence"]
-        assert wired["states"] == reference["states"]
 
 
 class TestWireFaultRecovery:

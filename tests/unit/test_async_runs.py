@@ -1,15 +1,27 @@
-"""Unit tests for the run-multiplexing async protocol engine.
+"""Unit tests for the run engine (every coordination round runs on it).
 
 Covers the :class:`repro.core.sharing.RunFuture` lifecycle (completion,
 abort, deadline expiry), the timer hygiene of aborted runs (extending the
 ``ReliableChannel.close`` no-leak guarantee to whole protocol runs), the
-membership-change expiry, and the scheduler-driven fair-exchange abort
-deadline.
+membership-change expiry, the scheduler-driven fair-exchange abort
+deadline, and the engine's own contract: a healthy blocking round stays on
+the calling thread, a lossy one converges with complete evidence.
 """
+
+import threading
+from collections import Counter
 
 import pytest
 
-from repro import ComponentDescriptor, FaultModel, TokenType, TrustDomain
+from repro import (
+    ComponentDescriptor,
+    DeploymentStyle,
+    FaultModel,
+    TokenType,
+    TrustDomain,
+    parallel,
+)
+from repro.transport.wire import WireTransport
 from repro.core.fair_exchange import FairExchangeClient
 from repro.core.sharing import RunFuture
 from repro.errors import CoordinationError, FairExchangeError, MembershipError
@@ -26,7 +38,7 @@ def make_domain(parties=3, **kwargs):
 
 class TestProposeUpdateAsync:
     def test_async_run_reaches_agreement_and_applies_everywhere(self):
-        domain = make_domain(scheduled_retries=True)
+        domain = make_domain()
         future = domain.organisation("urn:org:p0").propose_update_async("doc", {"v": 1})
         assert isinstance(future, RunFuture)
         outcome = future.result(timeout=30)
@@ -36,22 +48,9 @@ class TestProposeUpdateAsync:
             assert domain.organisation(uri).shared_state("doc") == {"v": 1}
         assert domain.retry_scheduler.pending_timers() == 0
 
-    def test_async_works_without_scheduler(self):
-        # Fan-outs then execute eagerly; the future is resolved by the
-        # continuation chain with no timers involved.
-        domain = make_domain(scheduled_retries=False)
-        outcome = (
-            domain.organisation("urn:org:p0")
-            .propose_update_async("doc", {"v": 5})
-            .result(timeout=30)
-        )
-        assert outcome.agreed
-        assert domain.organisation("urn:org:p2").shared_state("doc") == {"v": 5}
-
     def test_many_concurrent_runs_from_one_thread(self):
         domain = make_domain(
             parties=4,
-            scheduled_retries=True,
             fault_model=FaultModel(drop_probability=0.15, seed=b"async-unit"),
         )
         for index in range(8):
@@ -72,7 +71,7 @@ class TestProposeUpdateAsync:
     def test_vetoed_async_run_reports_reason(self):
         from repro import CallableValidator
 
-        domain = make_domain(scheduled_retries=True)
+        domain = make_domain()
         domain.organisation("urn:org:p1").controller.add_validator(
             "doc", CallableValidator(lambda ctx: False, name="always-veto")
         )
@@ -86,21 +85,213 @@ class TestProposeUpdateAsync:
             outcome.require_agreed()
 
     def test_unknown_object_raises_synchronously(self):
-        domain = make_domain(scheduled_retries=True)
+        domain = make_domain()
         with pytest.raises(CoordinationError):
             domain.organisation("urn:org:p0").propose_update_async("nope", {})
 
-    def test_deadline_requires_scheduler(self):
-        domain = make_domain(scheduled_retries=False)
-        with pytest.raises(CoordinationError, match="retry scheduler"):
-            domain.organisation("urn:org:p0").propose_update_async(
-                "doc", {"v": 1}, deadline=1.0
+
+class TestOneEngine:
+    """The blocking API is ``..._async(...).result()`` on the only engine."""
+
+    def test_every_domain_comes_with_its_retry_scheduler(self):
+        simulated = TrustDomain.create(["urn:org:p0", "urn:org:p1"], scheme="hmac")
+        assert simulated.retry_scheduler is simulated.network.retry_scheduler
+        assert simulated.retry_scheduler.clock is simulated.network.clock
+        with WireTransport(
+            local_parties=["urn:org:p0", "urn:org:p1"], await_remote_credentials=False
+        ) as transport:
+            wired = TrustDomain.create(
+                ["urn:org:p0", "urn:org:p1"], transport=transport, scheme="hmac"
             )
+            assert wired.retry_scheduler is transport.network.retry_scheduler
+            assert wired.retry_scheduler.clock is transport.network.clock
+
+    def test_healthy_blocking_rounds_never_leave_the_calling_thread(
+        self, monkeypatch
+    ):
+        domain = make_domain(parties=4)
+        submitted = []
+        monkeypatch.setattr(
+            parallel, "submit", lambda thunk, **kw: submitted.append(thunk)
+        )
+        proposer = domain.organisation("urn:org:p0")
+        assert proposer.propose_update("doc", {"v": 1}).agreed
+        assert proposer.controller.disconnect_member("doc", "urn:org:p3").agreed
+        assert proposer.controller.connect_member("doc", "urn:org:p3").agreed
+        # Every fan-out was complete when its next phase was chained: no
+        # continuation hopped to the executor and no timer was ever needed.
+        assert submitted == []
+        assert domain.retry_scheduler.timers_scheduled == 0
+        for uri in domain.party_uris():
+            assert domain.organisation(uri).shared_state("doc") == {"v": 1}
+
+    def test_async_future_of_a_healthy_round_is_resolved_on_return(self):
+        domain = make_domain()
+        future = domain.organisation("urn:org:p0").propose_update_async(
+            "doc", {"v": 1}, deadline=60.0
+        )
+        assert future.done() and future.result().agreed
+        # The deadline was scheduled and withdrawn; it is the only timer.
+        assert domain.retry_scheduler.timers_scheduled == 1
+        assert domain.retry_scheduler.pending_timers() == 0
+
+    def test_rollup_deferred_update_resolves_without_a_run(self):
+        domain = make_domain()
+        controller = domain.organisation("urn:org:p0").controller
+        with controller.rollup("doc"):
+            future = controller.propose_update_async("doc", {"v": 7})
+            assert future.done()
+            assert future.result().reason == "deferred until rollup completes"
+        assert domain.organisation("urn:org:p2").shared_state("doc") == {"v": 7}
+
+    def test_seeded_lossy_rounds_converge_with_complete_evidence(self):
+        domain = make_domain(
+            parties=4,
+            fault_model=FaultModel(
+                drop_probability=0.1, max_consecutive_drops=3, seed=b"lossy-async"
+            ),
+        )
+        proposer = domain.organisation("urn:org:p0")
+        run_ids = []
+        for value in range(1, 9):
+            outcome = proposer.propose_update("doc", {"v": value})
+            assert outcome.agreed, outcome.reason
+            run_ids.append(outcome.run_id)
+        assert proposer.controller.disconnect_member("doc", "urn:org:p3").agreed
+        stats = domain.network.statistics
+        assert stats.messages_dropped > 0  # the fault model actually fired
+        assert stats.failed_attempts_per_destination() != {}
+        assert domain.retry_scheduler.timers_fired > 0  # retries were timers
+        assert domain.retry_scheduler.pending_timers() == 0
+        members = domain.party_uris()[:3]
+        replicas = {
+            (
+                domain.organisation(uri).controller.state_digest("doc"),
+                domain.organisation(uri).shared_version("doc"),
+            )
+            for uri in members
+        }
+        assert len(replicas) == 1 and replicas.pop()[1] == 8
+        assert not domain.organisation("urn:org:p3").controller.is_shared("doc")
+        # Every update run left the full NR evidence set at every party:
+        # the proposer generated origin + outcome and received three
+        # decisions; each responder received origin, outcome and all three
+        # decisions (its own included) and generated its own.
+        for run_id in run_ids:
+            for uri in domain.party_uris():
+                holdings = Counter(
+                    (record.token_type, record.role)
+                    for record in domain.organisation(uri).evidence_for_run(run_id)
+                )
+                if uri == "urn:org:p0":
+                    assert holdings == {
+                        (TokenType.NRO_UPDATE.value, "generated"): 1,
+                        (TokenType.NR_OUTCOME.value, "generated"): 1,
+                        (TokenType.NR_DECISION.value, "received"): 3,
+                    }
+                else:
+                    assert holdings == {
+                        (TokenType.NRO_UPDATE.value, "received"): 1,
+                        (TokenType.NR_OUTCOME.value, "received"): 1,
+                        (TokenType.NR_DECISION.value, "generated"): 1,
+                        (TokenType.NR_DECISION.value, "received"): 3,
+                    }
+
+    @pytest.mark.parametrize(
+        "style", [DeploymentStyle.INLINE_TTP, DeploymentStyle.DISTRIBUTED_TTP]
+    )
+    def test_relayed_rounds_under_loss_wait_inside_the_runs_own_hold(self, style):
+        # A TTP relay waits for its own onward delivery *inside* the
+        # proposer's fan-out -- under the advance hold of the run's
+        # synchronous stretch (or of its resumed continuation).  On a
+        # virtual clock only that nested wait can move time to the relay's
+        # retry deadline, so it must not be blocked by the hold it runs in.
+        domain = make_domain(
+            style=style,
+            fault_model=FaultModel(
+                drop_probability=0.3, max_consecutive_drops=3, seed=b"relay-loss"
+            ),
+        )
+        agreed = []
+
+        def drive():
+            for value in range(1, 5):
+                outcome = domain.organisation("urn:org:p0").propose_update(
+                    "doc", {"v": value}
+                )
+                agreed.append(outcome.agreed)
+
+        worker = threading.Thread(target=drive, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert agreed == [True] * 4
+        assert domain.network.statistics.messages_dropped > 0
+        assert domain.retry_scheduler.pending_timers() == 0
+        for uri in domain.party_uris():
+            assert domain.organisation(uri).shared_state("doc") == {"v": 4}
+
+    def test_concurrent_relayed_proposers_do_not_deadlock_on_each_others_holds(self):
+        # Several threads, each parked in a relay's nested wait under its own
+        # run's hold: if parked holds counted as work, every thread would
+        # wait for the others to finish and virtual time would never move.
+        domain = make_domain(
+            style=DeploymentStyle.INLINE_TTP,
+            fault_model=FaultModel(
+                drop_probability=0.3, max_consecutive_drops=3, seed=b"relay-race"
+            ),
+        )
+        for index in range(3):
+            domain.share_object(f"obj-{index}", {"v": 0})
+        agreed = []
+
+        def drive(index):
+            proposer = domain.organisation(f"urn:org:p{index}")
+            for value in range(1, 9):
+                agreed.append(
+                    proposer.propose_update(f"obj-{index}", {"v": value}).agreed
+                )
+
+        workers = [
+            threading.Thread(target=drive, args=(index,), daemon=True)
+            for index in range(3)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert agreed == [True] * 24
+        assert domain.network.statistics.messages_dropped > 0
+        assert domain.retry_scheduler.quiescence().advance_holds == 0
+        assert domain.retry_scheduler.pending_timers() == 0
+
+    def test_generous_deadline_changes_nothing_but_timer_counters(self):
+        """A deadline that never fires must not alter the protocol's cost."""
+        domains = [
+            make_domain(
+                parties=4,
+                fault_model=FaultModel(drop_probability=0.1, seed=b"deadline-equiv"),
+            )
+            for _ in range(2)
+        ]
+        plain, deadlined = (domain.organisation("urn:org:p0") for domain in domains)
+        for value in (1, 2, 3):
+            assert plain.propose_update_async("doc", {"v": value}).result(120).agreed
+            assert (
+                deadlined.propose_update_async("doc", {"v": value}, deadline=10_000.0)
+                .result(120)
+                .agreed
+            )
+        assert domains[0].network.statistics == domains[1].network.statistics
+        assert [
+            domain.organisation("urn:org:p3").controller.state_digest("doc")
+            for domain in domains
+        ] == [plain.controller.state_digest("doc")] * 2
+        assert domains[1].retry_scheduler.pending_timers() == 0
 
 
 class TestRunDeadlinesAndAbort:
     def partitioned_domain(self):
-        domain = make_domain(scheduled_retries=True)
+        domain = make_domain()
         for uri in domain.party_uris():
             if uri != "urn:org:p0":
                 domain.network.partition.sever("urn:org:p0", uri)
@@ -137,7 +328,7 @@ class TestRunDeadlinesAndAbort:
         assert future.abort("again") is False
 
     def test_deadline_cancelled_on_normal_completion(self):
-        domain = make_domain(scheduled_retries=True)
+        domain = make_domain()
         future = domain.organisation("urn:org:p0").propose_update_async(
             "doc", {"v": 1}, deadline=60.0
         )
@@ -146,7 +337,7 @@ class TestRunDeadlinesAndAbort:
         assert domain.retry_scheduler.pending_timers() == 0  # deadline withdrawn
 
     def test_completed_run_ignores_late_abort(self):
-        domain = make_domain(scheduled_retries=True)
+        domain = make_domain()
         future = domain.organisation("urn:org:p0").propose_update_async("doc", {"v": 1})
         outcome = future.result(timeout=30)
         assert outcome.agreed
@@ -160,7 +351,7 @@ class TestCommitBarrier:
     def test_abort_refused_once_outcome_committed(self):
         from repro.core.sharing import _UpdateRun
 
-        domain = make_domain(scheduled_retries=True)
+        domain = make_domain()
         controller = domain.organisation("urn:org:p0").controller
         run = _UpdateRun(controller, "doc", {"v": 1})
         phase1 = controller.coordinator.request_all_async(run._phase1_messages())
@@ -178,7 +369,7 @@ class TestCommitBarrier:
     def test_abort_before_commit_suppresses_outcome_fanout(self):
         from repro.core.sharing import _UpdateRun
 
-        domain = make_domain(scheduled_retries=True)
+        domain = make_domain()
         controller = domain.organisation("urn:org:p0").controller
         run = _UpdateRun(controller, "doc", {"v": 1})
         phase1 = controller.coordinator.request_all_async(run._phase1_messages())
@@ -199,7 +390,7 @@ class TestCommitBarrier:
 
 class TestMembershipAsync:
     def test_connect_member_async(self):
-        domain = make_domain(parties=4, scheduled_retries=True)
+        domain = make_domain(parties=4)
         members = domain.party_uris()[:3]
         newcomer = domain.party_uris()[3]
         for uri in members:
@@ -213,7 +404,7 @@ class TestMembershipAsync:
         assert domain.retry_scheduler.pending_timers() == 0
 
     def test_membership_expiry_aborts_pending_change(self):
-        domain = make_domain(parties=3, scheduled_retries=True)
+        domain = make_domain(parties=3)
         controller = domain.organisation("urn:org:p0").controller
         for uri in domain.party_uris():
             if uri != "urn:org:p0":
@@ -228,24 +419,10 @@ class TestMembershipAsync:
         assert domain.retry_scheduler.pending_timers() == 0
 
     def test_membership_validation_raises_synchronously(self):
-        domain = make_domain(parties=3, scheduled_retries=True)
+        domain = make_domain(parties=3)
         controller = domain.organisation("urn:org:p0").controller
         with pytest.raises(MembershipError):
             controller.connect_member_async("doc", "urn:org:p1")
-
-
-class TestAsyncRunsOptIn:
-    def test_blocking_api_delegates_through_async_engine(self):
-        domain = make_domain(scheduled_retries=True, async_runs=True)
-        assert domain.organisation("urn:org:p0").controller.async_runs
-        outcome = domain.organisation("urn:org:p0").propose_update("doc", {"v": 3})
-        assert outcome.agreed
-        for uri in domain.party_uris():
-            assert domain.organisation(uri).shared_state("doc") == {"v": 3}
-
-    def test_async_runs_implies_scheduled_retries(self):
-        domain = make_domain(async_runs=True)
-        assert domain.retry_scheduler is not None
 
 
 class TestFairExchangeAbortDeadline:
@@ -254,7 +431,6 @@ class TestFairExchangeAbortDeadline:
         domain = TrustDomain.create(
             ["urn:org:client", "urn:org:server"],
             with_arbitrator=True,
-            scheduled_retries=True,
         )
         server = domain.organisation("urn:org:server")
         server.deploy(
@@ -317,14 +493,3 @@ class TestFairExchangeAbortDeadline:
             record.details.get("event") == "abort-deadline-refused"
             for record in audits
         )
-
-    def test_schedule_abort_requires_scheduler(self):
-        domain = TrustDomain.create(
-            ["urn:org:client", "urn:org:server"], with_arbitrator=True
-        )
-        client = domain.organisation("urn:org:client")
-        exchange = FairExchangeClient(
-            client.uri, client.coordinator, domain.arbitrator_uri
-        )
-        with pytest.raises(FairExchangeError, match="retry scheduler"):
-            exchange.schedule_abort("some-run", timeout=1.0)

@@ -16,7 +16,6 @@ from repro.core.config import (
     DurabilityConfig,
     FaultConfig,
     PeeringConfig,
-    ReliabilityConfig,
     TransportConfig,
 )
 from repro.core.trust_domain import TrustDomain
@@ -39,7 +38,6 @@ def _fingerprint(domain):
         "ttps": sorted(domain.ttps),
         "arbitrator": domain.arbitrator_uri,
         "timestamping": domain.timestamp_authority is not None,
-        "scheduler": domain.retry_scheduler is not None,
         "relays": sorted(domain.relays),
     }
 
@@ -49,8 +47,6 @@ class TestEquivalence:
         style=st.sampled_from(list(DeploymentStyle)),
         use_timestamping=st.booleans(),
         with_arbitrator=st.booleans(),
-        scheduled_retries=st.booleans(),
-        async_runs=st.booleans(),
         durable_runs=st.booleans(),
     )
     @_SETTINGS
@@ -59,8 +55,6 @@ class TestEquivalence:
         style,
         use_timestamping,
         with_arbitrator,
-        scheduled_retries,
-        async_runs,
         durable_runs,
     ):
         legacy = TrustDomain.create(
@@ -68,17 +62,12 @@ class TestEquivalence:
             style=style,
             use_timestamping=use_timestamping,
             with_arbitrator=with_arbitrator,
-            scheduled_retries=scheduled_retries,
-            async_runs=async_runs,
             durable_runs=durable_runs,
         )
         config = DomainConfig(
             style=style,
             use_timestamping=use_timestamping,
             with_arbitrator=with_arbitrator,
-            reliability=ReliabilityConfig(
-                scheduled_retries=scheduled_retries, async_runs=async_runs
-            ),
             durability=DurabilityConfig(durable_runs=durable_runs),
         )
         configured = TrustDomain.create(PARTIES, config=config)
@@ -117,10 +106,8 @@ class TestEquivalence:
 
 class TestMixingPaths:
     def test_config_with_non_default_kwarg_is_rejected(self):
-        with pytest.raises(ProtocolError, match="not both.*scheduled_retries"):
-            TrustDomain.create(
-                PARTIES, config=DomainConfig(), scheduled_retries=True
-            )
+        with pytest.raises(ProtocolError, match="not both.*durable_runs"):
+            TrustDomain.create(PARTIES, config=DomainConfig(), durable_runs=True)
 
     def test_config_with_default_valued_kwargs_is_fine(self):
         domain = TrustDomain.create(

@@ -197,7 +197,9 @@ class TestVerificationMemo:
         import dataclasses
 
         forged_signature = dataclasses.replace(
-            token.signature, value=bytes(token.signature.value[:-1]) + b"\x00"
+            token.signature,
+            value=token.signature.value[:-1]
+            + bytes([token.signature.value[-1] ^ 0xFF]),
         )
         forged = dataclasses.replace(token, signature=forged_signature)
         assert not verifier.verify(forged)

@@ -104,7 +104,7 @@ class TestDegradedUpdateRun:
         assert len(reachable) > 0
 
     def test_degraded_async_run_settles_its_future(self):
-        domain = _severed_domain(async_runs=True)
+        domain = _severed_domain()
         proposer = domain.organisation(URIS[0])
         future = proposer.controller.propose_update_async(OBJECT_ID, {"v": 1})
         outcome = future.result(timeout=30)

@@ -187,6 +187,26 @@ class TestTracingIntegration:
         assert snap["gauges"][f"audit.records.{uri}"] > 0
         assert snap["gauges"][f"evidence.records.{uri}"] > 0
 
+    def test_a_run_restores_the_callers_ambient_context(self):
+        # The run root is activated by start() and again by each phase that
+        # continues inline; every activation must restore what it replaced.
+        runtime.enable(ObservabilityConfig())
+        assert tracing.current_ctx() is None
+        _run_update()
+        assert tracing.current_ctx() is None
+        with tracing.activate(("trace-caller", "span-caller")):
+            _run_update()
+            assert tracing.current_ctx() == ("trace-caller", "span-caller")
+
+    def test_one_span_can_be_activated_again_while_ambient(self):
+        runtime.enable(ObservabilityConfig())
+        span = runtime.STATE.tracing.start_span("outer")
+        with span.activate():
+            with span.activate():
+                assert tracing.current_ctx() == span.ctx
+            assert tracing.current_ctx() == span.ctx
+        assert tracing.current_ctx() is None
+
     def test_scheduler_restores_ctx_at_fire(self):
         from repro.transport.scheduler import RetryScheduler
 

@@ -1,4 +1,4 @@
-"""Unit tests for the event-driven retry engine (scheduler + channel modes)."""
+"""Unit tests for the delivery engine: the retry scheduler and the channel on it."""
 
 import threading
 
@@ -12,10 +12,7 @@ from repro.transport.scheduler import DeliveryFuture, RetryScheduler, wait_all
 
 
 def scheduled_network(fault_model=None, clock=None):
-    clock = clock or SimulatedClock()
-    network = SimulatedNetwork(fault_model, clock=clock)
-    network.set_retry_scheduler(RetryScheduler(clock))
-    return network
+    return SimulatedNetwork(fault_model, clock=clock or SimulatedClock())
 
 
 class TestRetryScheduler:
@@ -233,7 +230,7 @@ class TestScheduledSend:
 
 
 class TestScheduledBatch:
-    def test_mixed_outcomes_resolve_per_entry(self):
+    def test_mixed_outcomes_resolve_as_one_wave(self):
         network = scheduled_network()
         network.register("urn:ok", lambda message: "fine")
         network.register("urn:flaky", lambda message: "eventually")
@@ -241,36 +238,50 @@ class TestScheduledBatch:
         channel = ReliableChannel(
             network, "urn:src", RetryPolicy(max_attempts=4, backoff_seconds=0.1)
         )
-        futures = channel.send_batch_scheduled(
+        wave = channel.send_batch_scheduled(
             [
                 ("urn:ok", "op", {}),
                 ("urn:missing", "op", {}),
                 ("urn:flaky", "op", {}),
             ]
         )
-        # Entries with an immediate outcome resolved on the first attempt.
-        assert futures[0].done() and futures[0].outcome().result == "fine"
-        assert futures[1].done()
-        assert isinstance(futures[1].outcome().error, UnknownEndpointError)
-        assert not futures[2].done()
+        # One entry is still retrying, so the wave's one handle is pending;
+        # only that entry stays in the state machine.
+        assert not wave.done()
+        assert channel.attempts_made == 3
         network.partition.heal_all()
-        wait_all(futures)
-        assert futures[2].outcome().result == "eventually"
+        ok, missing, flaky = wave.result()
+        assert ok.result == "fine"
+        assert isinstance(missing.error, UnknownEndpointError)
+        assert flaky.result == "eventually"
+        assert (channel.attempts_made, channel.retries_made) == (4, 1)
+        assert network.statistics.attempts_per_destination["urn:ok"] == 1
 
-    def test_batch_budget_exhaustion_message_matches_blocking_mode(self):
-        def run(scheduled):
-            network = SimulatedNetwork()
-            if scheduled:
-                network.set_retry_scheduler(RetryScheduler(network.clock))
-            network.register("urn:dst", lambda message: "ok")
-            network.set_online("urn:dst", False)
-            channel = ReliableChannel(
-                network, "urn:src", RetryPolicy(max_attempts=3, backoff_seconds=0.01)
-            )
-            results = channel.send_batch([("urn:dst", "op", {})])
-            return str(results[0].error), channel.attempts_made, channel.retries_made
+    def test_healthy_and_empty_waves_are_complete_on_return(self):
+        network = scheduled_network()
+        network.register("urn:ok", lambda message: "fine")
+        channel = ReliableChannel(network, "urn:src")
+        wave = channel.send_batch_scheduled([("urn:ok", "op", {})] * 3)
+        assert wave.done()
+        assert [entry.result for entry in wave.result()] == ["fine"] * 3
+        empty = channel.send_batch_scheduled([])
+        assert empty.done() and empty.result() == []
+        assert network.retry_scheduler.timers_scheduled == 0
 
-        assert run(scheduled=False) == run(scheduled=True)
+    def test_batch_budget_exhaustion_message_and_accounting(self):
+        network = scheduled_network()
+        network.register("urn:dst", lambda message: "ok")
+        network.set_online("urn:dst", False)
+        channel = ReliableChannel(
+            network, "urn:src", RetryPolicy(max_attempts=3, backoff_seconds=0.01)
+        )
+        (result,) = channel.send_batch([("urn:dst", "op", {})])
+        assert str(result.error) == (
+            "delivery from 'urn:src' to 'urn:dst' failed after 3 attempts: "
+            "endpoint 'urn:dst' is offline"
+        )
+        assert (channel.attempts_made, channel.retries_made) == (3, 2)
+        assert network.retry_scheduler.pending_timers() == 0
 
     def test_channel_close_cancels_in_flight_retries_without_leaking_timers(self):
         network = scheduled_network()
@@ -279,7 +290,7 @@ class TestScheduledBatch:
         channel = ReliableChannel(
             network, "urn:src", RetryPolicy(max_attempts=10, backoff_seconds=1.0)
         )
-        futures = channel.send_batch_scheduled(
+        wave = channel.send_batch_scheduled(
             [("urn:dst", "op", {}), ("urn:dst", "other-op", {})]
         )
         single = channel.send_scheduled("urn:dst", "op", {})
@@ -289,9 +300,10 @@ class TestScheduledBatch:
         channel.close()
         assert scheduler.pending_timers() == 0
         assert channel.pending_retries() == 0
-        for future in futures:
-            assert isinstance(future.outcome().error, DeliveryError)
-            assert "closed" in str(future.outcome().error)
+        assert wave.done()
+        for entry in wave.result():
+            assert isinstance(entry.error, DeliveryError)
+            assert "closed" in str(entry.error)
         with pytest.raises(DeliveryError, match="closed"):
             single.result()
         # Close is idempotent and new sends after close fail cleanly.
@@ -307,7 +319,7 @@ class TestScheduledBatch:
             network, "urn:src", RetryPolicy(max_attempts=10, backoff_seconds=1.0),
             run_id="run-x",
         )
-        futures = channel.send_batch_scheduled(
+        wave = channel.send_batch_scheduled(
             [("urn:dst", "op", {}), ("urn:dst", "other-op", {})]
         )
         scheduler = network.retry_scheduler
@@ -315,10 +327,11 @@ class TestScheduledBatch:
         assert scheduler.cancel_run("run-x") == 1
         assert scheduler.pending_timers() == 0
         assert channel.pending_retries() == 0
-        for future in futures:
-            assert isinstance(future.outcome().error, DeliveryError)
+        assert wave.done()
+        for entry in wave.result():
+            assert isinstance(entry.error, DeliveryError)
 
-    def test_close_without_scheduler_is_a_no_op(self):
+    def test_close_with_nothing_pending_is_a_no_op(self):
         network = SimulatedNetwork()
         channel = ReliableChannel(network, "urn:src")
         channel.close()
@@ -379,6 +392,78 @@ class TestSchedulerThreadSafety:
             thread.join(timeout=30)
         assert results == ["ok"] * 4
         assert network.retry_scheduler.pending_timers() == 0
+
+
+    def test_resume_is_inline_on_a_virtual_clock_and_hops_on_a_wall_clock(self):
+        ran_on = []
+
+        def work(scheduler):
+            # Either way the work runs under a hold of its own.
+            ran_on.append((threading.current_thread(), scheduler._holds))  # noqa: SLF001
+
+        virtual = RetryScheduler(SimulatedClock())
+        virtual.resume(lambda: work(virtual))
+        assert ran_on == [(threading.current_thread(), 1)]
+        assert virtual.is_quiescent()
+
+        wall = RetryScheduler(SystemClock())
+        wall.resume(lambda: work(wall))
+        assert wall.wait_quiescent(timeout=10)
+        thread, holds = ran_on[1]
+        assert thread is not threading.current_thread() and holds == 1
+
+    def test_resolvers_never_lose_a_waiters_wakeup(self):
+        # More waiters and resolvers than cores, on a wall clock with no
+        # timers: every wait ends only through a resolver's wake-up (or the
+        # idle poll), and the waiter count must return to zero.
+        import sys
+
+        scheduler = RetryScheduler(SystemClock())
+        futures = [DeliveryFuture(scheduler) for _ in range(200)]
+        collected = []
+
+        def wait_for(chunk):
+            collected.extend(future.result(timeout=30) for future in chunk)
+
+        def resolve(chunk):
+            for index, future in chunk:
+                future.complete(index)
+
+        indexed = list(enumerate(futures))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=wait_for, args=(futures[i::8],))
+                for i in range(8)
+            ] + [
+                threading.Thread(target=resolve, args=(indexed[i::4],))
+                for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(collected) == list(range(200))
+        assert scheduler._waiters == 0  # noqa: SLF001
+
+    def test_a_future_nobody_waits_on_never_touches_the_scheduler_lock(self):
+        scheduler = RetryScheduler(SimulatedClock())
+        future = DeliveryFuture(scheduler)
+        seen = []
+
+        def resolve_and_read():
+            future.complete("done")
+            seen.extend([future.result(), future.outcome()])
+
+        worker = threading.Thread(target=resolve_and_read, daemon=True)
+        with scheduler._condition:  # noqa: SLF001 - held against the worker
+            worker.start()
+            worker.join(timeout=10)
+        assert seen == ["done", "done"]
 
 
 class TestQuiescence:

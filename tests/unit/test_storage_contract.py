@@ -284,10 +284,8 @@ class TestWritePathContract:
         store.record_version("doc", {"rev": 0})
         record = {"run_id": "run-1", "new_version": 7, "decisions": []}
         store.record_version("doc", {"rev": 1}, outcome_version=7, outcome_record=record)
-        store.record_outcome("doc", 8, {"run_id": "run-2"})
         reopened = StateStore("urn:org:a", open_backend("state"))
         assert reopened.outcome_record("doc", 7) == record
-        assert reopened.outcome_record("doc", 8) == {"run_id": "run-2"}
         assert reopened.outcome_record("doc", 1) is None
         assert reopened.version_count("doc") == 2
 

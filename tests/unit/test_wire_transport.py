@@ -28,7 +28,6 @@ from repro.errors import (
 from repro.faults import FaultPlan, FaultRule
 from repro.transport.delivery import ReliableChannel, RetryPolicy
 from repro.transport.network import FaultModel, SimulatedNetwork
-from repro.transport.scheduler import RetryScheduler
 from repro.transport.wire import (
     ConnectionClosed,
     FramingError,
@@ -301,11 +300,10 @@ class TestWireNetwork:
         assert channel.send("urn:svc", "op", None) == "ok"
         assert a.pool.live_connections() == 1
 
-    def test_scheduled_retries_work_over_the_wire(self, wire_pair):
+    def test_send_scheduled_recovers_over_the_wire(self, wire_pair):
         a, b = wire_pair
         b.register("urn:svc", lambda message: "ok")
         _link(a, b, "urn:svc")
-        a.set_retry_scheduler(RetryScheduler(a.clock))
         a.pool.kill()
         channel = ReliableChannel(
             a, "urn:src", RetryPolicy(max_attempts=4, backoff_seconds=0.01)
