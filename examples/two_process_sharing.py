@@ -87,7 +87,7 @@ def verify_held_evidence(organisation, run_id):
 
     verified = []
     for record in organisation.evidence_store.evidence_for_run(run_id):
-        token = EvidenceToken.from_dict(record.token)
+        token = EvidenceToken.from_stored(record)
         organisation.evidence_verifier.require_valid(token, expected_run_id=run_id)
         verified.append((record.token_type, record.role))
     return sorted(verified)

@@ -129,9 +129,13 @@ On top of the encode-once substrate, the protocol engine runs concurrently:
   opt-in; the default remains deterministic signing.
 
 * **Batched verification** -- ``EvidenceVerifier.verify_all`` checks an
-  evidence-token set concurrently (one ``require_valid`` per token, errors
-  reported per slot), used by dispute resolution and by ``handle_outcome``
-  for the decision evidence forwarded with a sharing outcome.
+  evidence-token set in order on the calling thread (one ``require_valid``
+  per token, verification errors reported per slot, anything else raised),
+  used by dispute resolution and by ``handle_outcome`` for the decision
+  evidence forwarded with a sharing outcome.  It takes no worker: a set is
+  a few tokens and a verification tens of microseconds or a memo hit.
+  ``DisputeResolver.adjudicate_from_store`` revives only the stored records
+  that can bear on a claim and verifies every one of those.
 
 * **One run engine** -- every reliable send and every coordination round
   executes on one scheduled state machine; the blocking and non-blocking

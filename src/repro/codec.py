@@ -421,19 +421,22 @@ def from_jsonable(
     there is exactly one implementation of the canonical tag rules.
     """
     if isinstance(value, dict):
-        if set(value.keys()) == {"__literal__"}:
-            # An escaped plain dict whose own keys look like a codec tag.
-            return {
-                key: from_jsonable(item, object_reviver)
-                for key, item in value["__literal__"].items()
-            }
-        if set(value.keys()) == {"__bytes__"}:
-            return bytes.fromhex(value["__bytes__"])
-        if set(value.keys()) == {"__set__"}:
-            return set(
-                from_jsonable(item, object_reviver) for item in value["__set__"]
-            )
-        if set(value.keys()) == {"__object__", "data"}:
+        # The four reserved shapes, told apart by size and membership.
+        size = len(value)
+        if size == 1:
+            if "__literal__" in value:
+                # An escaped plain dict whose own keys look like a codec tag.
+                return {
+                    key: from_jsonable(item, object_reviver)
+                    for key, item in value["__literal__"].items()
+                }
+            if "__bytes__" in value:
+                return bytes.fromhex(value["__bytes__"])
+            if "__set__" in value:
+                return set(
+                    from_jsonable(item, object_reviver) for item in value["__set__"]
+                )
+        elif size == 2 and "__object__" in value and "data" in value:
             data = from_jsonable(value["data"], object_reviver)
             if object_reviver is not None:
                 return object_reviver(value["__object__"], data)

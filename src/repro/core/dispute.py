@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional
 
-from repro.core.evidence import EvidenceToken, EvidenceVerifier, TokenType, payload_digest
-from repro.errors import DisputeError, EvidenceVerificationError
+from repro.core.evidence import EvidenceToken, EvidenceVerifier, TokenType
+from repro.errors import DisputeError
 from repro.persistence.evidence_store import EvidenceStore
 
 
@@ -78,6 +78,32 @@ class Verdict:
         return self.refuted
 
 
+def _refuting_types(claim: DisputeClaim) -> Dict[str, Optional[str]]:
+    """Token types that can refute ``claim``, each with the issuer it must name.
+
+    ``None`` accepts any issuer: an agreed state is proved by the proposer's
+    ``NR_OUTCOME`` together with the denying party's own ``NR_DECISION``.
+    """
+    if claim.claim_type is ClaimType.DENIES_AGREED_STATE:
+        return {
+            TokenType.NR_OUTCOME.value: None,
+            TokenType.NR_DECISION.value: claim.denying_party,
+        }
+    refuting_type = _REFUTING_TOKEN.get(claim.claim_type)
+    if refuting_type is None:
+        return {}
+    return {refuting_type.value: claim.denying_party}
+
+
+def _first_verified(
+    tokens: List[EvidenceToken], verdicts: List[Optional[Exception]]
+) -> Optional[EvidenceToken]:
+    """The first token, in presentation order, whose verification found no fault."""
+    return next(
+        (token for token, error in zip(tokens, verdicts) if error is None), None
+    )
+
+
 class DisputeResolver:
     """Adjudicates claims by verifying the evidence presented against them."""
 
@@ -118,9 +144,8 @@ class DisputeResolver:
             )
             for token in candidates
         )
-        for token, error in zip(candidates, verdicts):
-            if error is not None:
-                continue
+        token = _first_verified(candidates, verdicts)
+        if token is not None:
             return Verdict(
                 claim=claim,
                 upheld=False,
@@ -160,9 +185,6 @@ class DisputeResolver:
             if token.token_type == TokenType.NR_DECISION.value
             and token.issuer == claim.denying_party
         ]
-        # Both candidate sets are verified together in one parallel batch;
-        # the first verifiable token of each kind (in presentation order)
-        # supports the verdict, exactly as the sequential scan did.
         checks = [
             (token, {"expected_run_id": claim.run_id}) for token in outcome_tokens
         ] + [
@@ -176,24 +198,9 @@ class DisputeResolver:
             for token in decision_tokens
         ]
         verdicts = self._verifier.verify_all(checks)
-        outcome_verdicts = verdicts[: len(outcome_tokens)]
-        decision_verdicts = verdicts[len(outcome_tokens):]
-        verified_outcome = next(
-            (
-                token
-                for token, error in zip(outcome_tokens, outcome_verdicts)
-                if error is None
-            ),
-            None,
-        )
-        verified_decision = next(
-            (
-                token
-                for token, error in zip(decision_tokens, decision_verdicts)
-                if error is None
-            ),
-            None,
-        )
+        split = len(outcome_tokens)
+        verified_outcome = _first_verified(outcome_tokens, verdicts[:split])
+        verified_decision = _first_verified(decision_tokens, verdicts[split:])
         if verified_outcome is not None and verified_decision is not None:
             return Verdict(
                 claim=claim,
@@ -217,35 +224,24 @@ class DisputeResolver:
     def adjudicate_from_store(
         self, claim: DisputeClaim, store: EvidenceStore
     ) -> Verdict:
-        """Adjudicate using every token the counterparty holds for the run."""
+        """Adjudicate ``claim`` on the evidence the counterparty holds for its run.
+
+        Only records that can bear on the claim are revived into tokens:
+        those filed under a refuting token type whose stated issuer is the
+        one the claim binds (:func:`_refuting_types`), in presentation order.
+        That selection is a shortcut, never the check -- :meth:`adjudicate`
+        filters the revived tokens again and puts each through
+        ``require_valid``, so the verdict is the one presenting the whole run
+        would get -- and it means a record that cannot decide the claim need
+        not even be well-formed.  Nothing is kept between claims: reviving a
+        claim's one or two candidates is cheaper than a memo of tokens and
+        its resident memory.
+        """
+        wanted = _refuting_types(claim)
         tokens = [
-            EvidenceToken.from_dict(record.token)
+            EvidenceToken.from_stored(record)
             for record in store.evidence_for_run(claim.run_id)
+            if record.token_type in wanted
+            and wanted[record.token_type] in (None, record.token.get("issuer"))
         ]
         return self.adjudicate(claim, tokens)
-
-    def verify_state_lineage(
-        self,
-        store: EvidenceStore,
-        object_id: str,
-        state: Any,
-    ) -> bool:
-        """Check that ``state`` matches some agreed outcome recorded for ``object_id``.
-
-        Walks every ``NR_OUTCOME`` token in the store and compares the digest
-        of the presented state with the proposal digests the outcomes commit
-        to.  Used to refute "that reconstruction of the shared information is
-        not a state we ever agreed" (Section 3.4).
-        """
-        target_digest = payload_digest(state).hex()
-        for run_id in store.run_ids():
-            for record in store.tokens_of_type(run_id, TokenType.NR_OUTCOME.value):
-                token = EvidenceToken.from_dict(record.token)
-                try:
-                    self._verifier.require_valid(token, expected_run_id=run_id)
-                except EvidenceVerificationError:
-                    continue
-                details = record.token.get("details", {})
-                if details.get("agreed_state_digest") == target_digest:
-                    return True
-        return False

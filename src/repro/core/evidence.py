@@ -19,7 +19,7 @@ from enum import Enum
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro import codec, parallel
+from repro import codec
 from repro.observability.runtime import STATE as _OBS
 from repro.clock import Clock, SystemClock
 from repro.crypto.certificates import CertificateStore
@@ -155,7 +155,8 @@ class EvidenceToken:
 
         ``revived=True`` marks input whose nested values already went
         through :func:`codec.from_jsonable` (wire frames are revived
-        bottom-up), skipping the redundant second walk over ``details``.
+        bottom-up, stored records by ``codec.decode`` -- see
+        :meth:`from_stored`): ``details`` must not be walked a second time.
         """
         signature = payload.get("signature")
         timestamp_token = payload.get("timestamp_token")
@@ -175,6 +176,18 @@ class EvidenceToken:
                 TimestampToken.from_dict(timestamp_token) if timestamp_token else None
             ),
         )
+
+    @classmethod
+    def from_stored(cls, record: Any) -> "EvidenceToken":
+        """Rebuild the token of an evidence-store record.
+
+        The store splices the canonical text of a token object into its
+        record, so ``codec.decode`` of the record has already revived
+        ``details``; reviving them again would turn a plain dict that merely
+        looks like a codec tag into what the tag stands for and break the
+        signature.
+        """
+        return cls.from_dict(record.token, revived=True)
 
 
 def payload_digest(payload: Any) -> bytes:
@@ -366,42 +379,29 @@ class EvidenceVerifier:
                 )
 
     def verify_all(
-        self,
-        checks: Iterable[Tuple[EvidenceToken, Mapping[str, Any]]],
-        parallel_verification: bool = True,
+        self, checks: Iterable[Tuple[EvidenceToken, Mapping[str, Any]]]
     ) -> List[Optional[EvidenceVerificationError]]:
-        """Verify a set of tokens together, one :meth:`require_valid` per entry.
+        """Verify a set of tokens, one :meth:`require_valid` per entry, in order.
 
         ``checks`` yields ``(token, expectations)`` pairs where
         ``expectations`` holds :meth:`require_valid` keyword arguments
         (``expected_type``, ``expected_run_id``, ...).  Returns one entry per
         check, in order: ``None`` on success, the verification error
-        otherwise -- an invalid token never masks the other verdicts.
+        otherwise -- an invalid token never masks the other verdicts.  Any
+        other exception is an infrastructure failure and propagates: it is
+        never misread as "token invalid".
 
-        Verification is read-only and each check is independent, so the
-        checks run concurrently on the shared worker pool (the modular
-        exponentiations release the GIL); dispute resolution over a full
-        evidence set and outcome handling over forwarded decision tokens pay
-        one slowest-verification latency instead of the sum.
+        The checks run on the calling thread.  A set is a handful of tokens
+        (two candidates per dispute claim, one forwarded decision per member)
+        and a verification is tens of microseconds or a memo hit, so a hop to
+        a worker pool costs more than the signatures it would overlap.
         """
-        checks = list(checks)
-
-        def make_thunk(
-            token: EvidenceToken, expectations: Mapping[str, Any]
-        ):
-            def thunk() -> None:
-                self.require_valid(token, **dict(expectations))
-
-            return thunk
-
-        outcomes = parallel.run_all(
-            [make_thunk(token, expectations) for token, expectations in checks],
-            parallel=parallel_verification,
-        )
         verdicts: List[Optional[EvidenceVerificationError]] = []
-        for _, error in outcomes:
-            if error is None or isinstance(error, EvidenceVerificationError):
+        for token, expectations in checks:
+            try:
+                self.require_valid(token, **expectations)
+            except EvidenceVerificationError as error:
                 verdicts.append(error)
-            else:  # infrastructure failure: never misread as "token invalid"
-                raise error
+            else:
+                verdicts.append(None)
         return verdicts

@@ -147,7 +147,7 @@ class FairExchangeClient:
         records = store.tokens_of_type(run_id, token_type.value)
         if not records:
             return None
-        return EvidenceToken.from_dict(records[0].token)
+        return EvidenceToken.from_stored(records[0])
 
     def _send(self, action: str, run_id: str, tokens) -> B2BProtocolMessage:
         message = B2BProtocolMessage(

@@ -527,4 +527,4 @@ def nro_request_from(services, run_id: str) -> Optional[EvidenceToken]:
     records = services.evidence_store.tokens_of_type(run_id, TokenType.NRO_REQUEST.value)
     if not records:
         return None
-    return EvidenceToken.from_dict(records[0].token)
+    return EvidenceToken.from_stored(records[0])

@@ -1187,10 +1187,7 @@ class B2BObjectController:
         # The peers' decision evidence was persisted during phase 2 (before
         # the barrier), so the resent wave can forward it like the original.
         decision_tokens = [
-            # Stored token dicts round-trip the store as *unrevived*
-            # jsonables (encode escapes their tags, decode unwraps them),
-            # so revive here -- same as dispute/fair-exchange replay.
-            EvidenceToken.from_dict(dict(stored.token))
+            EvidenceToken.from_stored(stored)
             for stored in services.evidence_store.tokens_of_type(
                 run_id, TokenType.NR_DECISION.value
             )
@@ -1924,11 +1921,8 @@ class B2BObjectController:
         )
         # Keep every peer's decision evidence for dispute resolution: the
         # forwarded tokens are verified as a set and only verifiable evidence
-        # is retained.  Verification stays on this thread: under parallel
-        # dispatch handle_outcome itself already runs on a worker (one per
-        # recipient), and the proposer verified each decision once, so these
-        # re-checks hit the process-wide signature memo -- offloading
-        # microsecond memo hits would cost more than it saves.
+        # is retained.  The proposer verified each decision once, so these
+        # re-checks hit the process-wide signature memo.
         decision_tokens = [
             token
             for token in message.tokens
@@ -1944,8 +1938,7 @@ class B2BObjectController:
                     },
                 )
                 for token in decision_tokens
-            ),
-            parallel_verification=False,
+            )
         )
         rejected_decisions = [
             token.token_id

@@ -2,18 +2,17 @@
 
 The protocol hot paths fan work out in two places: the simulated network
 dispatches a batch of admitted messages to their destination handlers
-(:class:`repro.transport.network.ParallelDispatch`), and evidence-token sets
-are verified together (:meth:`repro.core.evidence.EvidenceVerifier.verify_all`).
-Both draw worker threads from one process-wide executor managed here, so the
-engine's total thread count is bounded no matter how many networks, verifiers
-or protocol runs are live.
+(:class:`repro.transport.network.ParallelDispatch`), and the retry scheduler
+fires due wall-clock timers (:func:`submit`).  Both draw worker threads from
+one process-wide executor managed here, so the engine's total thread count is
+bounded no matter how many networks or protocol runs are live.  Evidence
+verification is not among them: it runs on whichever thread asks for it.
 
 Re-entrancy contract: work submitted *from* a pool worker runs inline on the
 calling thread instead of being resubmitted.  A nested fan-out (a handler
-that itself fans out, a verification triggered inside a dispatched handler)
-therefore can never deadlock on an exhausted pool -- it degrades to the
-sequential behaviour, which is always correct because every parallel path in
-this package is also valid executed serially.
+that itself fans out) therefore can never deadlock on an exhausted pool -- it
+degrades to the sequential behaviour, which is always correct because every
+parallel path in this package is also valid executed serially.
 
 The heavy lifting on these paths is multi-hundred-bit modular exponentiation
 routed through OpenSSL's ``BN_mod_exp`` via :mod:`ctypes`
@@ -151,18 +150,18 @@ def shutdown_shared_executor() -> None:
 
 
 def run_all(
-    thunks: Sequence[Callable[[], Any]], parallel: bool = True
+    thunks: Sequence[Callable[[], Any]]
 ) -> List[Tuple[Any, Optional[Exception]]]:
     """Run ``thunks`` and return one ``(result, error)`` pair per thunk, in order.
 
-    With ``parallel=True`` the thunks run on the shared executor; each thunk's
-    exception is captured in its own slot, so one failure never masks the
-    other outcomes.  Falls back to inline sequential execution for trivial
-    batches and for calls issued from a pool worker (see the re-entrancy
-    contract in the module docstring).
+    The thunks run on the shared executor; each thunk's exception is captured
+    in its own slot, so one failure never masks the other outcomes.  Falls
+    back to inline sequential execution for trivial batches and for calls
+    issued from a pool worker (see the re-entrancy contract in the module
+    docstring).
     """
     thunks = list(thunks)
-    if not parallel or len(thunks) <= 1 or in_worker_thread():
+    if len(thunks) <= 1 or in_worker_thread():
         return [_run_one(thunk) for thunk in thunks]
     futures: List[Future] = []
     for thunk in thunks:

@@ -76,9 +76,12 @@ class EvidenceStore:
     of record sizes (so :meth:`storage_bytes` is O(1) and never re-reads the
     backend) and a decoded-record memo filled by reads (so repeated
     :meth:`evidence_for_run` calls decode each record at most once per
-    process).  All indexes are derived state: they are rebuilt from the
-    backend on construction and maintained incrementally by
-    :meth:`store_many`.
+    store).  The memo holds records as decoded -- ``token`` mappings whose
+    ``details`` are already revived, which
+    :meth:`repro.core.evidence.EvidenceToken.from_stored` turns into tokens
+    -- and never token objects: a reader revives the few it needs.  All
+    indexes are derived state: they are rebuilt from the backend on
+    construction and maintained incrementally by :meth:`store_many`.
 
     On a backend advertising ``supports_prefix_scan`` (the embedded-KV
     SQLite backend) the in-memory indexes are not built at all: opening

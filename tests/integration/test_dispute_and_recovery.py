@@ -66,7 +66,7 @@ class TestWholeHistoryAdjudication:
         resolver = DisputeResolver(seller.evidence_verifier)
         # Present evidence from run 0 against a claim about run 1: not refuting.
         run_0_tokens = [
-            EvidenceToken.from_dict(record.token)
+            EvidenceToken.from_stored(record)
             for record in seller.evidence_for_run(outcomes[0].run_id)
         ]
         claim = DisputeClaim(

@@ -57,7 +57,7 @@ class TestEndToEndInvocation:
         )
         for holder, checker in ((dealer, manufacturer), (manufacturer, dealer)):
             for record in holder.evidence_for_run(outcome.run_id):
-                token = EvidenceToken.from_dict(record.token)
+                token = EvidenceToken.from_stored(record)
                 assert checker.evidence_verifier.verify(token)
 
     def test_audit_logs_remain_tamper_evident(self, stack):

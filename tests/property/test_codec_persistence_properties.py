@@ -200,5 +200,5 @@ class TestEvidenceRecordProperties:
         decoded = StoredEvidence.from_dict(codec.decode(raw))
         assert (decoded.run_id, decoded.token_type) == (run_id, token_type)
         assert (decoded.role, decoded.stored_at) == ("received", stored_at)
-        assert EvidenceToken.from_dict(decoded.token) == token
+        assert EvidenceToken.from_stored(decoded) == token
         assert store.tokens_of_type(run_id, token_type) == [decoded]

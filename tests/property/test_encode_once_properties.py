@@ -123,6 +123,121 @@ class TestCanonicalEncodingProperties:
         assert codec.decode(first) == normalise(items)
 
 
+def _reference_from_jsonable(value, object_reviver=None):
+    """``codec.from_jsonable`` as it was before it stopped building key sets."""
+    if isinstance(value, dict):
+        if set(value.keys()) == {"__literal__"}:
+            return {
+                key: _reference_from_jsonable(item, object_reviver)
+                for key, item in value["__literal__"].items()
+            }
+        if set(value.keys()) == {"__bytes__"}:
+            return bytes.fromhex(value["__bytes__"])
+        if set(value.keys()) == {"__set__"}:
+            return set(
+                _reference_from_jsonable(item, object_reviver)
+                for item in value["__set__"]
+            )
+        if set(value.keys()) == {"__object__", "data"}:
+            data = _reference_from_jsonable(value["data"], object_reviver)
+            if object_reviver is not None:
+                return object_reviver(value["__object__"], data)
+            return data
+        return {
+            key: _reference_from_jsonable(item, object_reviver)
+            for key, item in value.items()
+        }
+    if isinstance(value, list):
+        return [_reference_from_jsonable(item, object_reviver) for item in value]
+    return value
+
+
+hex_text = st.binary(max_size=8).map(bytes.hex)
+plain_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 31), max_value=2 ** 31),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+)
+# Reserved names turn up as ordinary keys too, with any value under them.
+keys = st.one_of(
+    st.sampled_from(["__literal__", "__bytes__", "__set__", "__object__", "data"]),
+    st.text(max_size=6),
+)
+
+jsonables = st.recursive(
+    plain_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
+        # the four tag shapes, well-formed
+        hex_text.map(lambda text: {"__bytes__": text}),
+        st.lists(plain_scalars, max_size=4).map(lambda items: {"__set__": items}),
+        st.dictionaries(keys, children, max_size=3).map(
+            lambda plain: {"__literal__": plain}
+        ),
+        st.tuples(st.text(max_size=6), children).map(
+            lambda pair: {"__object__": pair[0], "data": pair[1]}
+        ),
+        # the same shapes holding what a tag never holds
+        st.lists(children, max_size=3).map(lambda items: {"__set__": items}),
+        children.map(lambda anything: {"__bytes__": anything}),
+        # near misses: one key too many, one too few
+        st.tuples(hex_text, children).map(
+            lambda pair: {"__bytes__": pair[0], "x": pair[1]}
+        ),
+        st.text(max_size=6).map(lambda name: {"__object__": name}),
+        st.tuples(st.text(max_size=6), children, children).map(
+            lambda triple: {
+                "__object__": triple[0],
+                "data": triple[1],
+                "extra": triple[2],
+            }
+        ),
+    ),
+    max_leaves=20,
+)
+
+
+def _outcome(function, value, object_reviver):
+    try:
+        return "returned", function(value, object_reviver)
+    except Exception as error:  # noqa: BLE001 - the kind of failure is the outcome
+        return "raised", type(error)
+
+
+class TestFromJsonableMatchesReference:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        jsonables,
+        st.sampled_from([None, lambda name, data: ("revived", name, repr(data))]),
+    )
+    def test_same_result_or_same_failure_for_every_jsonable(self, value, reviver):
+        assert _outcome(codec.from_jsonable, value, reviver) == _outcome(
+            _reference_from_jsonable, value, reviver
+        )
+
+    def test_reserved_shapes_and_their_near_misses(self):
+        assert codec.from_jsonable({}) == {}
+        assert codec.from_jsonable({"__bytes__": "00ff"}) == b"\x00\xff"
+        assert codec.from_jsonable({"__bytes__": "00", "x": 1}) == {
+            "__bytes__": "00",
+            "x": 1,
+        }
+        assert codec.from_jsonable({"__set__": [1, {"__bytes__": "00"}]}) == {1, b"\x00"}
+        assert codec.from_jsonable({"__literal__": {"__bytes__": "00"}}) == {
+            "__bytes__": "00"
+        }
+        assert codec.from_jsonable({"__object__": "T"}) == {"__object__": "T"}
+        assert codec.from_jsonable({"__object__": "T", "data": [1]}) == [1]
+        assert codec.from_jsonable(
+            {"__object__": "T", "data": {"__bytes__": "00"}}, lambda name, data: (name, data)
+        ) == ("T", b"\x00")
+
+
 class TestModExpBackendProperties:
     @_SETTINGS
     @given(

@@ -66,7 +66,7 @@ class TestInvocationInvariants:
         for org in (client, server):
             for run_id in org.evidence_store.run_ids():
                 for record in org.evidence_for_run(run_id):
-                    token = EvidenceToken.from_dict(record.token)
+                    token = EvidenceToken.from_stored(record)
                     assert org.evidence_verifier.verify(token), (
                         f"{org.uri} stores a token from {token.issuer} that does not verify"
                     )

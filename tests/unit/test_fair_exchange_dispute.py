@@ -109,7 +109,7 @@ class TestFairExchangeResolution:
 
 
 def tokens_from_store(org, run_id):
-    return [EvidenceToken.from_dict(record.token) for record in org.evidence_for_run(run_id)]
+    return [EvidenceToken.from_stored(record) for record in org.evidence_for_run(run_id)]
 
 
 class TestDisputeResolution:

@@ -2,7 +2,7 @@
 
 Covers the pluggable network dispatch strategies (sequential/parallel
 equivalence, duplicate accounting, nested fan-outs), the DSA nonce pool and
-the batched parallel evidence verification.
+the batched evidence verification.
 """
 
 import hashlib
@@ -15,6 +15,7 @@ from repro import FaultModel, TokenType, TrustDomain
 from repro.core.evidence import EvidenceBuilder, EvidenceToken, EvidenceVerifier
 from repro.crypto import dsa
 from repro.crypto.signature import Signer, generate_keypair
+from repro.errors import EvidenceVerificationError
 from repro.transport.network import (
     ParallelDispatch,
     SequentialDispatch,
@@ -296,15 +297,11 @@ def build_verifier_with_tokens(count):
 
 
 class TestVerifyAll:
-    @pytest.mark.parametrize("parallel_verification", [True, False])
-    def test_all_valid_tokens_pass(self, parallel_verification):
+    def test_all_valid_tokens_pass(self):
         verifier, tokens = build_verifier_with_tokens(4)
         verdicts = verifier.verify_all(
-            (
-                (token, {"expected_type": TokenType.NR_DECISION, "expected_run_id": "run-1"})
-                for token in tokens
-            ),
-            parallel_verification=parallel_verification,
+            (token, {"expected_type": TokenType.NR_DECISION, "expected_run_id": "run-1"})
+            for token in tokens
         )
         assert verdicts == [None] * 4
 
@@ -318,5 +315,21 @@ class TestVerifyAll:
             for token in [tokens[0], tampered, tokens[2]]
         )
         assert verdicts[0] is None
-        assert verdicts[1] is not None  # the forged run id fails verification
+        assert isinstance(verdicts[1], EvidenceVerificationError)  # forged run id
         assert verdicts[2] is None
+
+    def test_infrastructure_failure_propagates(self):
+        verifier, tokens = build_verifier_with_tokens(2)
+        checked = []
+
+        class KeyServiceDown(RuntimeError):
+            pass
+
+        def key_for(party):
+            checked.append(party)
+            raise KeyServiceDown(party)
+
+        verifier.key_for = key_for
+        with pytest.raises(KeyServiceDown):
+            verifier.verify_all((token, {}) for token in tokens)
+        assert checked == ["urn:org:issuer"]  # never misread as "token invalid"

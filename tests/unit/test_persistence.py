@@ -353,7 +353,7 @@ class TestEvidenceStore:
         )
         assert received == generated.replace(b'"generated"', b'"received"')
         (first, second) = store.evidence_for_run("run-1")
-        assert EvidenceToken.from_dict(first.token) == token
+        assert EvidenceToken.from_stored(first) == token
 
     def test_unknown_run_returns_empty(self):
         assert EvidenceStore("urn:org:a").evidence_for_run("missing") == []

@@ -53,7 +53,7 @@ class TestRelayHandler:
 
         ttp = inline_domain.ttps["urn:ttp:inline"]
         for record in ttp.evidence_store.tokens_of_type(outcome.run_id, TokenType.TTP_RELAY.value):
-            token = EvidenceToken.from_dict(record.token)
+            token = EvidenceToken.from_stored(record)
             assert client.evidence_verifier.verify(token)
             assert provider.evidence_verifier.verify(token)
 
