@@ -82,12 +82,22 @@ that representation is reused everywhere downstream.
   keeps no decoded copy: records are decoded, and memoised, when a dispute or
   a recovery *reads* them.  ``StateStore`` appends one small history entry
   per agreed version (``state:{owner}:history:{object_id}:{version:012d}``),
-  so version 10 000 costs what version 1 did.  The records of one protocol
-  step -- the proposer's phase-2 decisions, a responder's outcome with its
-  forwarded decisions, the invocation client's receipt pair, a replica's
-  snapshot + history entry + durable outcome record -- reach the backend in
-  one ``StorageBackend.put_many`` (one lock in memory, one all-or-nothing
-  transaction on SQLite).
+  so version 10 000 costs what version 1 did.  The durable outcome record a
+  replica keeps for resync splices the tokens' cached canonical text too.
+
+* **One backend commit per protocol step** -- the stores write through a
+  per-thread *storage step* (``repro.persistence.storage``): during a
+  coordinator delivery, a phase of a coordination run or an invocation,
+  every write of the evidence store, run journal, state store and audit log
+  is collected (each store reads its own pending records back), and a
+  commit hands each backend its records, in write order, through one
+  ``StorageBackend.put_many`` -- one lock in memory, one all-or-nothing
+  transaction on SQLite, where ``storage="sqlite:..."`` opens one backend
+  per organisation for all four stores.  Commits happen where durability is
+  owed: after every run-journal record, before the coordinator hands a
+  message to the network, and at step exit.  An agreed update is 2
+  transactions per responder and 4 at the proposer (5 parties, durable:
+  12 for 61 rows, 32 before), and a step is atomic across stores.
 
 Concurrency model
 -----------------

@@ -36,6 +36,7 @@ from repro.core.messages import B2BProtocolMessage
 from repro.core.protocol import B2BProtocolHandler
 from repro.errors import ProtocolError
 from repro.observability.runtime import STATE as _OBS
+from repro.persistence import storage
 from repro.persistence.audit_log import AuditLog
 from repro.persistence.evidence_store import EvidenceStore
 from repro.persistence.run_journal import RunJournal
@@ -184,34 +185,45 @@ class B2BCoordinator:
     # -- incoming (exported remotely) ---------------------------------------------
 
     def deliver(self, message: B2BProtocolMessage) -> None:
-        """Deliver a one-way protocol message from a remote party."""
+        """Deliver a one-way protocol message from a remote party.
+
+        Handling a message is one storage step: what the handler stores is
+        committed together, before the delivery is acknowledged.
+        """
         handler = self.handler_for(message.protocol)
-        handler.process(message)
+        with storage.step():
+            handler.process(message)
 
     def deliver_request(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
-        """Deliver a request message and return the handler's response."""
+        """Deliver a request message and return the handler's response.
+
+        One storage step, committed before the response is returned.
+        """
         handler = self.handler_for(message.protocol)
-        return handler.process_request(message)
+        with storage.step():
+            return handler.process_request(message)
 
     # -- outgoing --------------------------------------------------------------------
 
-    def _remote_coordinator(self, party: str):
-        address = self.route_for(party)
-        return self._invoker.proxy_for(
+    def _invoke(self, address: str, method: str, message: B2BProtocolMessage) -> Any:
+        message.reply_to = message.reply_to or self.address
+        proxy = self._invoker.proxy_for(
             address, COORDINATOR_OBJECT_NAME, retry_policy=self._retry_policy
         )
+        # Nothing of the sender is pending when a message leaves: whatever a
+        # peer learns from it, this party can still prove after a crash.
+        storage.commit()
+        return proxy.invoke(method, [message], {})
 
     def send(self, message: B2BProtocolMessage) -> None:
         """Send a one-way message to the recipient's (routed) coordinator."""
-        message.reply_to = message.reply_to or self.address
-        remote = self._remote_coordinator(message.recipient)
-        remote.invoke("deliver", [message], {})
+        self._invoke(self.route_for(message.recipient), "deliver", message)
 
     def request(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
         """Send a request message and return the recipient's response."""
-        message.reply_to = message.reply_to or self.address
-        remote = self._remote_coordinator(message.recipient)
-        return remote.invoke("deliver_request", [message], {})
+        return self._invoke(
+            self.route_for(message.recipient), "deliver_request", message
+        )
 
     # -- batched fan-out ---------------------------------------------------------
 
@@ -241,6 +253,7 @@ class B2BCoordinator:
             indices.append(index)
         batch = None
         if calls:
+            storage.commit()  # as in _invoke: before the first message leaves
             # A fan-out serves one protocol run; tagging its retry timers
             # with the run id lets a run-level abort withdraw them together.
             batch = self._invoker.call_batch_async(
@@ -308,21 +321,13 @@ class B2BCoordinator:
         Used by relays and by handlers that learned the peer's coordinator
         address from a message's ``reply_to`` field.
         """
-        message.reply_to = message.reply_to or self.address
-        proxy = self._invoker.proxy_for(
-            address, COORDINATOR_OBJECT_NAME, retry_policy=self._retry_policy
-        )
-        proxy.invoke("deliver", [message], {})
+        self._invoke(address, "deliver", message)
 
     def request_to_address(
         self, address: str, message: B2BProtocolMessage
     ) -> B2BProtocolMessage:
         """Send a request message to an explicit coordinator address."""
-        message.reply_to = message.reply_to or self.address
-        proxy = self._invoker.proxy_for(
-            address, COORDINATOR_OBJECT_NAME, retry_policy=self._retry_policy
-        )
-        return proxy.invoke("deliver_request", [message], {})
+        return self._invoke(address, "deliver_request", message)
 
 
 class CoordinatorFanOut:

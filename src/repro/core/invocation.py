@@ -40,6 +40,7 @@ from repro.errors import (
     ProtocolError,
     RemoteInvocationError,
 )
+from repro.persistence import storage
 
 #: Protocol name used for coordinator handler registration.
 NR_INVOCATION_PROTOCOL = "nr-invocation"
@@ -386,43 +387,51 @@ class B2BInvocationHandler:
         return self.invoke_with_evidence(b2b_invocation).unwrap()
 
     def invoke_with_evidence(self, b2b_invocation: B2BInvocation) -> InvocationOutcome:
-        """Run the protocol and return the full outcome with evidence."""
-        services = self._coordinator.services
-        run_id = new_unique_id("inv")
-        # Canonicalise once: the same encoding backs the NRO_req digest, the
-        # request message body and the server-side verification.
-        request_payload = codec.canonicalize(b2b_invocation.request_payload())
+        """Run the protocol and return the full outcome with evidence.
 
-        nro_request = services.evidence_builder.build(
-            token_type=TokenType.NRO_REQUEST,
-            run_id=run_id,
-            step=1,
-            recipient=b2b_invocation.target_party,
-            payload=request_payload,
-            details={"platform": b2b_invocation.platform, "protocol": b2b_invocation.protocol},
-        )
-        services.evidence_store.store(
-            run_id=run_id,
-            token_type=nro_request.token_type,
-            token=nro_request,
-            role=services.evidence_store.ROLE_GENERATED,
-        )
+        One storage step: each protocol step's evidence is committed before
+        its message leaves, the closing audit record on return.
+        """
+        with storage.step():
+            services = self._coordinator.services
+            run_id = new_unique_id("inv")
+            # Canonicalise once: the same encoding backs the NRO_req digest, the
+            # request message body and the server-side verification.
+            request_payload = codec.canonicalize(b2b_invocation.request_payload())
 
-        request_message = B2BProtocolMessage(
-            run_id=run_id,
-            protocol=NR_INVOCATION_PROTOCOL,
-            step=1,
-            sender=self.party,
-            recipient=b2b_invocation.target_party,
-            payload=request_payload,
-            tokens=[nro_request],
-            reply_to=self._coordinator.address,
-        )
+            nro_request = services.evidence_builder.build(
+                token_type=TokenType.NRO_REQUEST,
+                run_id=run_id,
+                step=1,
+                recipient=b2b_invocation.target_party,
+                payload=request_payload,
+                details={
+                    "platform": b2b_invocation.platform,
+                    "protocol": b2b_invocation.protocol,
+                },
+            )
+            services.evidence_store.store(
+                run_id=run_id,
+                token_type=nro_request.token_type,
+                token=nro_request,
+                role=services.evidence_store.ROLE_GENERATED,
+            )
 
-        response = self._coordinator.request(request_message)
-        return self._handle_response(
-            b2b_invocation, run_id, request_payload, nro_request, response
-        )
+            request_message = B2BProtocolMessage(
+                run_id=run_id,
+                protocol=NR_INVOCATION_PROTOCOL,
+                step=1,
+                sender=self.party,
+                recipient=b2b_invocation.target_party,
+                payload=request_payload,
+                tokens=[nro_request],
+                reply_to=self._coordinator.address,
+            )
+
+            response = self._coordinator.request(request_message)
+            return self._handle_response(
+                b2b_invocation, run_id, request_payload, nro_request, response
+            )
 
     def _handle_response(
         self,

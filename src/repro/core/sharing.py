@@ -92,6 +92,7 @@ from repro.faults.breaker import STATE_OPEN as BREAKER_STATE_OPEN
 from repro.membership.service import Member, MembershipService
 from repro.observability import tracing as _tracing
 from repro.observability.runtime import STATE as _OBS
+from repro.persistence import storage
 from repro.persistence.run_journal import (
     PHASE_COMMITTED,
     JournaledRun,
@@ -319,13 +320,6 @@ class _CoordinationRun:
         if self._span is not None or _OBS.metrics is not None:
             self._run_started = perf_counter()
             self.future.add_done_callback(self._end_root_span)
-        if self._journal is not None:
-            # However the run resolves -- completion, abort, deadline expiry
-            # or a failure before the commit barrier -- the settled record
-            # marks it as needing no recovery.  The callback fires after the
-            # future is resolved, so the journal can never declare settled a
-            # run whose outcome is still undecided.
-            self.future.add_done_callback(self._journal_settled)
 
     #: Journal tag for the run kind; subclasses override.
     _journal_kind = "run"
@@ -364,8 +358,11 @@ class _CoordinationRun:
         # abort that won the race above must leave no generated evidence
         # asserting an outcome that never shipped.  The journal record is
         # written before any side effect (evidence persistence, outcome
-        # dispatch), so a crash from here on recovers by *resuming* the
-        # committed run -- peers may already hold the outcome.
+        # dispatch) and commits the storage step -- phase 2's decision
+        # evidence and this edge, one transaction on a shared backend -- so
+        # a crash from here on recovers by *resuming* the committed run:
+        # peers may already hold the outcome.  The NR_OUTCOME stored next is
+        # committed before the first outcome message leaves.
         # The commit barrier gets its own span so the outcome wave (sends
         # stamped inside the activation) and every peer's ``handle:outcome``
         # parent under it rather than directly under the run root.
@@ -406,7 +403,8 @@ class _CoordinationRun:
         a run a peer has heard of is always a run the journal can recover
         (abort-and-notify), while a crash before the record behaves as if
         the run never existed -- no peer saw it either, since nothing was
-        dispatched.
+        dispatched.  Writing it commits the storage step: phase 1's origin
+        evidence and the proposed edge are durable together, the edge last.
         """
         messages = self._phase1_messages()
         self._journal_proposed(messages)
@@ -458,8 +456,28 @@ class _CoordinationRun:
             apply=self._journal_commit_apply(),
         )
 
-    def _journal_settled(self, future: DeliveryFuture) -> None:
-        error = future.error
+    def _resolve(
+        self, outcome: Optional[SharingOutcome], error: Optional[Exception] = None
+    ) -> None:
+        """Resolve the future, once everything the run wrote is durable.
+
+        However the run resolves -- completion, abort, deadline expiry or a
+        failure before the commit barrier -- the settled journal record
+        marks it as needing no recovery, and writing it commits the step's
+        tail (the local apply, its audit record) in the same transaction.
+        Only then can a waiter, possibly on another thread, see the result.
+        """
+        if self._journal is not None:
+            self._journal_settled(outcome, error)
+        storage.commit()
+        if error is not None:
+            self.future.fail(error)
+        else:
+            self.future.complete(outcome)
+
+    def _journal_settled(
+        self, outcome: Optional[SharingOutcome], error: Optional[Exception]
+    ) -> None:
         if error is not None and self._committed:
             # The engine failed past the commit barrier: peers may already
             # hold (and have applied) the outcome, so the run is not over.
@@ -468,7 +486,6 @@ class _CoordinationRun:
         if error is not None:
             agreed, reason = False, f"run failed: {error}"
         else:
-            outcome = future.result()
             agreed, reason = outcome.agreed, outcome.reason
         try:
             self._journal.record_settled(self.run_id, agreed=agreed, reason=reason)
@@ -538,7 +555,7 @@ class _CoordinationRun:
         advance a virtual clock straight to the run's own deadline and
         expire it mid-stride.
         """
-        with self._scheduler.hold_advance(), _span_scope(self._span):
+        with self._scheduler.hold_advance(), _span_scope(self._span), storage.step():
             if self._deadline is not None:
                 self._deadline_handle = self._scheduler.schedule(
                     self._deadline, self._expire, run_id=self.run_id
@@ -574,7 +591,7 @@ class _CoordinationRun:
         # worker's previous task) -- activate the run root explicitly so
         # everything this phase sends is attributed correctly (inline, this
         # re-activates what start() already set).
-        with _span_scope(self._span):
+        with _span_scope(self._span), storage.step():
             if self._done():
                 return
             try:
@@ -585,20 +602,20 @@ class _CoordinationRun:
                 if outcome_fan_out is None:  # aborted while verifying
                     return
             except Exception as error:  # noqa: BLE001 - resolve, never strand waiters
-                self._settle(lambda: self.future.fail(error))
+                self._settle(lambda: self._resolve(None, error))
                 return
             self._chain(outcome_fan_out, self._after_phase2)
 
     def _after_phase2(self, outcome_fan_out) -> None:
-        with _span_scope(self._span):
+        with _span_scope(self._span), storage.step():
             if self._done():
                 return
             try:
                 outcome = self._finalize(outcome_fan_out.errors())
             except Exception as error:  # noqa: BLE001 - resolve, never strand waiters
-                self._settle(lambda: self.future.fail(error))
+                self._settle(lambda: self._resolve(None, error))
                 return
-            self._settle(lambda: self.future.complete(outcome))
+            self._settle(lambda: self._resolve(outcome))
 
     # -- abort / timeout ----------------------------------------------------------
 
@@ -623,14 +640,15 @@ class _CoordinationRun:
             # Sweep whatever else carries the run tag (the deadline timer
             # if still pending, externally scheduled run timers).
             self._scheduler.cancel_run(self.run_id)
-            self.future.complete(self._aborted_outcome(reason))
+            self._resolve(self._aborted_outcome(reason))
 
         with self._state_lock:
             if self._settled or self._committed:
                 return False
             self._settled = True
         self._cancel_deadline()
-        self._resolve_settled(settle_abort)
+        with storage.step():
+            self._resolve_settled(settle_abort)
         return True
 
     def _expire(self) -> None:
@@ -655,8 +673,9 @@ class _CoordinationRun:
 
         The settled flag is already set, so no other path will touch the
         future again -- an escaping exception here (e.g. a bug in an
-        outcome builder running on a timer-driving thread) would otherwise
-        strand every waiter forever.
+        outcome builder running on a timer-driving thread, a commit the
+        backend refused) would otherwise strand every waiter forever.  The
+        journal keeps such a run open, for ``recover_runs()`` to settle.
         """
         try:
             resolve()
@@ -1018,7 +1037,9 @@ class B2BObjectController:
 
         Carries everything a stale peer needs for a signature-checked
         catch-up apply: the canonical outcome and proposal payloads plus the
-        evidence tokens in dictionary form.  ``None`` when durable state is
+        evidence tokens as their cached canonical encodings, spliced into
+        the stored record (a reader gets token dictionaries already revived,
+        as from an evidence-store record).  ``None`` when durable state is
         off -- callers pass the result straight to :meth:`_apply_update`.
         """
         if not self.durable_state:
@@ -1030,8 +1051,8 @@ class B2BObjectController:
             "new_version": new_version,
             "outcome": outcome_payload,
             "proposal": proposal,
-            "nr_outcome": nr_outcome.to_dict(),
-            "decisions": [token.to_dict() for token in decision_tokens],
+            "nr_outcome": nr_outcome.data_encoded(),
+            "decisions": [token.data_encoded() for token in decision_tokens],
         }
 
     def revert_component_state(self, object_id: str) -> None:
@@ -1151,13 +1172,14 @@ class B2BObjectController:
         if journal is None:
             return {}
         actions: Dict[str, str] = {}
-        for record in journal.open_runs():
-            if record.phase == PHASE_COMMITTED:
-                self._recover_resume(record)
-                actions[record.run_id] = "resumed"
-            else:
-                self._recover_abort(record)
-                actions[record.run_id] = "aborted"
+        with storage.step():
+            for record in journal.open_runs():
+                if record.phase == PHASE_COMMITTED:
+                    self._recover_resume(record)
+                    actions[record.run_id] = "resumed"
+                else:
+                    self._recover_abort(record)
+                    actions[record.run_id] = "aborted"
         return actions
 
     def _recover_resume(self, record: JournaledRun) -> None:
@@ -1696,7 +1718,11 @@ class B2BObjectController:
         if new_version != self._shared(object_id).version + 1:
             return False
         services = self._coordinator.services
-        nr_outcome = EvidenceToken.from_dict(dict(record.get("nr_outcome") or {}))
+        # Stored records splice each token's canonical text, so decoding one
+        # has already revived the tokens' details (EvidenceToken.from_stored).
+        nr_outcome = EvidenceToken.from_dict(
+            dict(record.get("nr_outcome") or {}), revived=True
+        )
         services.evidence_verifier.require_valid(
             nr_outcome,
             expected_type=TokenType.NR_OUTCOME,
@@ -1722,7 +1748,7 @@ class B2BObjectController:
             )
         applied = False
         try:
-            with _span_scope(span):
+            with _span_scope(span), storage.step():
                 with self._outcome_application(run_id):
                     # Re-check under the marker: a live (re-)delivered outcome
                     # for the same version racing this resync must win exactly
@@ -1736,7 +1762,9 @@ class B2BObjectController:
                         role=services.evidence_store.ROLE_RECEIVED,
                     )
                     for token_dict in record.get("decisions") or []:
-                        token = EvidenceToken.from_dict(dict(token_dict))
+                        token = EvidenceToken.from_dict(
+                            dict(token_dict), revived=True
+                        )
                         try:
                             services.evidence_verifier.require_valid(
                                 token,
@@ -1900,7 +1928,7 @@ class B2BObjectController:
         context = ValidationContext(
             object_id=object_id,
             proposer=proposer,
-            current_state=self.get_state(object_id),
+            current_state=shared.state_copy,  # decoded if a validator reads it
             proposed_state=codec.unwrap(proposal.get("proposed_state")),
             base_version=proposal.get("base_version", 0),
         )

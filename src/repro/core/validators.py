@@ -29,13 +29,34 @@ class ValidationDecision:
         }
 
 
+class _LazyState:
+    """``ValidationContext.current_state``: a loader given in its place runs
+    on first read, once -- most validators never look at the current state,
+    and producing it means decoding the whole replica."""
+
+    def __get__(self, context: Any, owner: Any = None) -> Any:
+        if context is None:
+            raise AttributeError("current_state")  # i.e. the field has no default
+        state = context.__dict__["current_state"]
+        if callable(state):
+            state = context.__dict__["current_state"] = state()
+        return state
+
+    def __set__(self, context: Any, state: Any) -> None:
+        context.__dict__["current_state"] = state
+
+
 @dataclass(frozen=True)
 class ValidationContext:
-    """Everything a validator may inspect when reaching a decision."""
+    """Everything a validator may inspect when reaching a decision.
+
+    ``current_state`` is the validator's own copy of the agreed state, or a
+    zero-argument callable producing that copy when it is first read.
+    """
 
     object_id: str
     proposer: str
-    current_state: Any
+    current_state: Any = _LazyState()
     proposed_state: Any
     base_version: int
     attributes: Dict[str, Any] = field(default_factory=dict)

@@ -18,7 +18,7 @@ from repro.crypto.hashing import HashChain
 from repro.errors import AuditLogError, AuditLogTamperedError
 from repro.observability import tracing as _tracing
 from repro.observability.runtime import STATE as _OBS
-from repro.persistence.storage import InMemoryBackend, StorageBackend
+from repro.persistence.storage import InMemoryBackend, StorageBackend, SteppedBackend
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,8 @@ class AuditLog:
         clock: Optional[Clock] = None,
     ) -> None:
         self.owner = owner
-        self._backend = backend or InMemoryBackend()
+        self._backend = SteppedBackend(backend or InMemoryBackend(), self._replay_existing)
         self._clock = clock or SystemClock()
-        self._chain = HashChain()
-        self._count = 0
         self._lock = threading.RLock()
         self._replay_existing()
 
@@ -72,32 +70,29 @@ class AuditLog:
         return f"audit:{self.owner}:{index:012d}"
 
     def _replay_existing(self) -> None:
-        """Rebuild the in-memory hash chain from a pre-populated backend.
+        """Rebuild the in-memory hash chain from what the backend holds.
 
-        On a prefix-scan backend this is one range query: the zero-padded
-        index in each key makes lexicographic scan order equal append
-        order.  (The suffix check keeps an owner whose URI prefixes
-        another owner's URI from absorbing that owner's records in a
-        shared database.)  Plain backends replay by sequential gets.
+        Runs on open, and again when a commit carrying this log's records
+        failed.  One prefix scan (an indexed range query where the backend
+        has one): the zero-padded index in each key makes lexicographic scan
+        order equal append order.  (The suffix check keeps an owner whose
+        URI prefixes another owner's URI from absorbing that owner's records
+        in a shared database.)  The log ends at the first missing index: two
+        threads' steps commit in either order, so a crash between them can
+        leave a later record without an earlier one.
         """
-        index = 0
-        if self._backend.supports_prefix_scan:
-            prefix = f"audit:{self.owner}:"
+        prefix = f"audit:{self.owner}:"
+        with self._lock:
+            self._chain = HashChain()
+            self._count = 0
             for key, raw in self._backend.scan(prefix):
                 suffix = key[len(prefix):]
                 if len(suffix) != 12 or not suffix.isdigit():
                     continue
+                if int(suffix) != self._count:
+                    break
                 self._chain.append(raw)
-                index += 1
-            self._count = index
-            return
-        while True:
-            raw = self._backend.get(self._key_for(index))
-            if raw is None:
-                break
-            self._chain.append(raw)
-            index += 1
-        self._count = index
+                self._count += 1
 
     def __len__(self) -> int:
         return self._count

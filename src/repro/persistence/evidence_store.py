@@ -15,8 +15,10 @@ Write-path contract: a record is *spliced*, never re-encoded -- the fixed
 envelope is written around the token's own cached canonical text
 (``token.data_encoded().text``), byte for byte what ``codec.encode`` makes of
 the same record -- and writing keeps no decoded copy: records are decoded, and
-memoised, when something reads them.  The records of one protocol step go to
-the backend in one ``put_many`` (:meth:`EvidenceStore.store_many`).
+memoised, when something reads them.  :meth:`EvidenceStore.store_many` hands
+its records to the storage step in one ``put_many``
+(:mod:`repro.persistence.storage`); the step commits them with the journal,
+state and audit records of the same protocol step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro import codec
 from repro.clock import Clock, SystemClock
 from repro.errors import PersistenceError
-from repro.persistence.storage import InMemoryBackend, StorageBackend
+from repro.persistence.storage import InMemoryBackend, StorageBackend, SteppedBackend
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,9 @@ class EvidenceStore:
         clock: Optional[Clock] = None,
     ) -> None:
         self.owner = owner
-        self._backend = backend or InMemoryBackend()
+        self._backend = SteppedBackend(
+            backend or InMemoryBackend(), self._rebuild_index
+        )
         self._clock = clock or SystemClock()
         self._index: Dict[str, List[str]] = {}
         self._type_index: Dict[Tuple[str, str], List[str]] = {}
@@ -115,8 +119,7 @@ class EvidenceStore:
         # counters, primed lazily on the first write touching a run.
         self._scan_backed = bool(self._backend.supports_prefix_scan)
         self._sequences: Dict[str, int] = {}
-        if not self._scan_backed:
-            self._rebuild_index()
+        self._rebuild_index()
 
     @staticmethod
     def _sequence_of(key: str) -> Optional[int]:
@@ -135,7 +138,13 @@ class EvidenceStore:
         self._total_bytes += size
 
     def _rebuild_index(self) -> None:
-        """Recover the indexes from the backend.
+        """Forget all derived state and recover it from the backend.
+
+        Runs on open, and again when a commit carrying this store's records
+        failed: whatever the backend kept (nothing of an atomic batch, a
+        prefix of a looped one) is then the only truth, so sequence numbers
+        are not reused and the totals match the backend.  A scan-backed
+        store has nothing to recover, only counters and a memo to drop.
 
         Backend ``keys()`` order is *insertion* order of that backend
         instance, which for a reopened store is not necessarily the original
@@ -145,20 +154,27 @@ class EvidenceStore:
         keys with an unparsable suffix sort after the well-formed ones, in
         backend order.
         """
-        per_run: Dict[str, List[Tuple[int, int, str, StoredEvidence, int]]] = {}
-        for position, key in enumerate(self._backend.keys()):
-            if not key.startswith("evidence:"):
-                continue
-            raw = self._backend.get(key)
-            if raw is None:
-                continue
-            record = StoredEvidence.from_dict(codec.decode(raw))
-            sequence = self._sequence_of(key)
-            sort_key = (0, sequence) if sequence is not None else (1, position)
-            per_run.setdefault(record.run_id, []).append(
-                (sort_key[0], sort_key[1], key, record, len(raw))
-            )
         with self._lock:
+            self._index.clear()
+            self._type_index.clear()
+            self._total_bytes = 0
+            self._decoded.clear()
+            self._sequences.clear()
+            if self._scan_backed:
+                return
+            per_run: Dict[str, List[Tuple[int, int, str, StoredEvidence, int]]] = {}
+            for position, key in enumerate(self._backend.keys()):
+                if not key.startswith("evidence:"):
+                    continue
+                raw = self._backend.get(key)
+                if raw is None:
+                    continue
+                record = StoredEvidence.from_dict(codec.decode(raw))
+                sequence = self._sequence_of(key)
+                sort_key = (0, sequence) if sequence is not None else (1, position)
+                per_run.setdefault(record.run_id, []).append(
+                    (sort_key[0], sort_key[1], key, record, len(raw))
+                )
             for entries in per_run.values():
                 for _, _, key, record, size in sorted(
                     entries, key=lambda entry: (entry[0], entry[1])
@@ -251,7 +267,8 @@ class EvidenceStore:
         sequence numbers, the same keys and bytes -- under one lock, one
         clock read and one backend ``put_many``.  The batch is as atomic as
         the backend's ``put_many``: when a looping backend fails midway, the
-        records it kept stay stored and indexed, and the error propagates.
+        records it kept stay stored and indexed (:meth:`_rebuild_index`), and the
+        error propagates.
         """
         pending = []
         for token_type, token, role in entries:
@@ -275,30 +292,12 @@ class EvidenceStore:
                 )
                 key = self._key_for(run_id, token_type, role, first + offset)
                 items.append((key, record.encode("utf-8")))
-            written = 0
-            try:
-                self._backend.put_many(items)
-                written = len(items)
-            except Exception:
-                # Only some backends write a batch all-or-nothing; a looping
-                # one keeps the records before the failing put.  Account for
-                # those, so the next write does not reuse their sequence
-                # numbers and the totals still match the backend.
-                for key, _ in items:
-                    if self._backend.get(key) is None:
-                        break
-                    written += 1
-                raise
-            finally:
-                if self._scan_backed:
-                    self._sequences[run_id] = first + written
-                else:
-                    for (key, encoded), (token_type, _, _) in zip(
-                        items[:written], pending
-                    ):
-                        self._register_locked(
-                            key, run_id, token_type, len(encoded)
-                        )
+            self._backend.put_many(items)
+            if self._scan_backed:
+                self._sequences[run_id] = first + len(items)
+            else:
+                for (key, encoded), (token_type, _, _) in zip(items, pending):
+                    self._register_locked(key, run_id, token_type, len(encoded))
 
     @staticmethod
     def _token_text(token: Any) -> str:

@@ -29,7 +29,10 @@ Three record kinds cover the run state machine:
 Records are keyed ``runjournal:{owner}:{run_id}:{phase}`` behind the
 ordinary :class:`~repro.persistence.storage.StorageBackend` interface, so
 the same backend factory that persists evidence across processes persists
-run state (one durable write per phase transition, three per run).
+run state (one durable write per phase transition, three per run).  Each
+write commits the calling thread's storage step
+(:mod:`repro.persistence.storage`): no journal edge without the evidence
+stored before it, and none of that evidence later than its edge.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro import codec
 from repro.errors import PersistenceError
-from repro.persistence.storage import InMemoryBackend, StorageBackend
+from repro.persistence.storage import InMemoryBackend, StorageBackend, SteppedBackend, commit
 
 PHASE_PROPOSED = "proposed"
 PHASE_COMMITTED = "committed"
@@ -78,10 +81,10 @@ class RunJournal:
 
     def __init__(self, owner: str, backend: Optional[StorageBackend] = None) -> None:
         self.owner = owner
-        self._backend = backend or InMemoryBackend()
+        self._backend = SteppedBackend(backend or InMemoryBackend())
         self._lock = threading.RLock()
 
-    # -- writing (one durable put per phase transition) ----------------------------
+    # -- writing (one durable commit per phase transition) -------------------------
 
     def _key_for(self, run_id: str, phase: str) -> str:
         return f"runjournal:{self.owner}:{run_id}:{phase}"
@@ -90,6 +93,10 @@ class RunJournal:
         payload = {"run_id": run_id, "phase": phase, **record}
         with self._lock:
             self._backend.put(self._key_for(run_id, phase), codec.encode(payload))
+        # A journal edge is durable when its record_* call returns, and with
+        # it everything the step wrote before it: on a backend the owner's
+        # stores share, one transaction whose last record is the edge.
+        commit()
 
     def record_proposed(
         self,

@@ -11,18 +11,22 @@ over the unique key index), so reopening a store costs O(queried).
 
 Concurrency:
 
-* within a process, one connection guarded by an ``RLock``
+* within a process, one connection per backend guarded by an ``RLock``
   (``check_same_thread=False``: protocol handlers store evidence from
   dispatch threads);
 * across processes, WAL journal mode plus a busy timeout -- readers never
   block the single writer and vice versa, which is the sharing model the
   multi-process benchmarks exercise.
 
-Durability: every ``put``/``delete`` commits its own transaction and
-``put_many`` commits one for the whole batch (rolled back as a whole on
-any error), so a killed process can never leave a torn record or half a
-batch -- SQLite's journal gives the same record-or-nothing guarantee the
-crash-atomic ``FileBackend`` provides via fsync+rename.  Every
+Durability: every ``put_many`` commits one transaction for the whole batch
+(rolled back as a whole on any error) and a ``put`` is a batch of one, so a
+killed process can never leave a torn record or half a batch -- SQLite's
+journal gives the same record-or-nothing guarantee the crash-atomic
+``FileBackend`` provides via fsync+rename.  The stores write through the
+storage step (:mod:`repro.persistence.storage`), which hands this backend
+what an organisation's four stores wrote in one protocol step as a single
+batch (:class:`StorageProfile` opens one backend per organisation for
+that): the step is atomic across stores and costs one transaction.  Every
 ``sqlite3.Error`` surfaces as :class:`~repro.errors.PersistenceError`.
 """
 

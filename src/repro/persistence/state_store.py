@@ -24,7 +24,8 @@ The version history is itself durable.  Key layout in the backing
 
 Write-path contract: :meth:`StateStore.record_version` writes the snapshot,
 the history entry and (when given) the outcome record in that order through
-one ``put_many``.  Reopening the store against the same backend rebuilds the
+one ``put_many`` into the storage step (:mod:`repro.persistence.storage`),
+which commits them with the evidence that justifies them.  Reopening the store against the same backend rebuilds the
 history from a prefix scan of the history entries — so a restarted replica
 resumes each shared object at its last *agreed* version instead of
 re-registering from configuration.
@@ -38,7 +39,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro import codec
 from repro.crypto.hashing import secure_hash
 from repro.errors import StateStoreError
-from repro.persistence.storage import InMemoryBackend, StorageBackend
+from repro.persistence.storage import InMemoryBackend, StorageBackend, SteppedBackend
 
 
 class StateStore:
@@ -46,7 +47,7 @@ class StateStore:
 
     def __init__(self, owner: str, backend: Optional[StorageBackend] = None) -> None:
         self.owner = owner
-        self._backend = backend or InMemoryBackend()
+        self._backend = SteppedBackend(backend or InMemoryBackend(), self._load_history)
         self._history: Dict[str, List[bytes]] = {}
         self._agreed: Dict[str, Set[bytes]] = {}
         self._lock = threading.RLock()
@@ -62,22 +63,26 @@ class StateStore:
         arrive in version order; a gap means a lost write and fails closed.
         So does a key without the version suffix: it was written by the
         earlier one-list-per-object layout, which this store cannot read and
-        must not silently forget.
+        must not silently forget.  Runs on open, and again when a commit
+        carrying this store's records failed.
         """
         prefix = f"state:{self.owner}:history:"
-        for key, digest in self._backend.scan(prefix):
-            object_id, _, version = key[len(prefix):].rpartition(":")
-            if not (len(version) == 12 and version.isdigit()):
-                raise StateStoreError(
-                    f"{key!r} is not a per-version history entry: the store "
-                    f"of {self.owner!r} was written in the earlier "
-                    "one-list-per-object layout, which is not supported"
-                )
-            if int(version) != self.version_count(object_id):
-                raise StateStoreError(
-                    f"history of {object_id!r} is broken at entry {version!r}"
-                )
-            self._append(object_id, digest)
+        with self._lock:
+            self._history.clear()
+            self._agreed.clear()
+            for key, digest in self._backend.scan(prefix):
+                object_id, _, version = key[len(prefix):].rpartition(":")
+                if not (len(version) == 12 and version.isdigit()):
+                    raise StateStoreError(
+                        f"{key!r} is not a per-version history entry: the store "
+                        f"of {self.owner!r} was written in the earlier "
+                        "one-list-per-object layout, which is not supported"
+                    )
+                if int(version) != self.version_count(object_id):
+                    raise StateStoreError(
+                        f"history of {object_id!r} is broken at entry {version!r}"
+                    )
+                self._append(object_id, digest)
 
     def _append(self, object_id: str, digest: bytes) -> None:
         self._history.setdefault(object_id, []).append(digest)

@@ -8,19 +8,35 @@ thread-safe in-memory backend for tests and simulation, and a file backend
 that writes one file per record under a directory so evidence survives
 process restarts.
 
-Write-path contract: a store persists one protocol step's records with a
-single :meth:`StorageBackend.put_many` call.  The default loops
-:meth:`~StorageBackend.put` (the file backend keeps it: each record is
-already crash-atomic on its own); the in-memory backend takes its lock
-once, and the SQLite backend writes the batch in one transaction --
-all of it or none of it.
+Write-path contract: every store writes through a :class:`SteppedBackend`, a
+view of its backend that appends each ``put``/``put_many`` to the calling
+thread's *step* and lets the store read its own pending records back.  A
+protocol step (:func:`step`: a coordinator delivery, one phase of a run, an
+invocation) collects the records of every store it touches and
+:func:`commit` hands them to their backends in write order, each backend's
+consecutive records through one :meth:`StorageBackend.put_many` -- so an
+organisation whose stores share one SQLite backend persists a step in one
+transaction, all of it or none of it, while the in-memory backend takes its
+lock once and the file backend keeps looping :meth:`~StorageBackend.put`
+(each record is already crash-atomic on its own).  A write outside any step
+is the same path committing at once.  ``commit`` is called where durability
+is owed: after every run-journal record (the journal edge is the last record
+of its transaction), before a coordinator hands a message to the network
+(nothing of the sender is pending when a message leaves), and at step exit
+(before a handler's reply returns, before a run's future resolves).
+
+Steps are per thread: records pending on one thread are invisible to every
+other thread until committed, and a thread never commits or delays another
+thread's records.  When a commit fails, the records the backend did not keep
+are dropped, every store that wrote in the step re-derives its in-memory
+state from its backend, and the error reaches whoever asked for the commit.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import PersistenceError
 
@@ -100,6 +116,153 @@ class StorageBackend:
             count += 1
             total += len(value)
         return count, total
+
+
+class _ThreadStep(threading.local):
+    """The calling thread's step, and the context manager :func:`step` returns."""
+
+    def __init__(self) -> None:
+        self.depth = 0
+        #: ``(backend, key) -> value`` in write order; a key written twice
+        #: keeps its first position, as it does in every backend.
+        self.pending: Dict[Tuple[StorageBackend, str], bytes] = {}
+        #: ``reload`` callbacks of the stores that wrote since the last commit.
+        self.reloads: Dict[Callable[[], None], None] = {}
+
+    def __enter__(self) -> None:
+        self.depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.depth -= 1
+        if self.pending:
+            commit()
+
+
+_STEP = _ThreadStep()
+
+
+def step() -> _ThreadStep:
+    """Open a step on the calling thread (``with step():``); steps nest.
+
+    Every exit commits what the thread has pending, the error path included:
+    what a handler wrote before it raised is kept, as it was when each
+    write went to the backend on its own.
+    """
+    return _STEP
+
+
+def commit() -> None:
+    """Write the calling thread's pending records to their backends.
+
+    Records go out in write order, consecutive records of one backend
+    through one ``put_many``.  On failure the rest is dropped, the stores
+    that wrote in this stretch reload from their backends -- which hold
+    whatever prefix a non-atomic backend kept -- and the error propagates.
+    """
+    thread = _STEP
+    if not thread.pending:
+        return
+    pending, thread.pending = thread.pending, {}
+    reloads, thread.reloads = thread.reloads, {}
+    try:
+        backend, batch = None, []
+        for (owner, key), value in pending.items():
+            if owner is not backend:
+                if batch:
+                    backend.put_many(batch)
+                backend, batch = owner, []
+            batch.append((key, value))
+        backend.put_many(batch)
+    except BaseException:
+        for reload in reloads:
+            reload()
+        raise
+
+
+def pending_records() -> int:
+    """How many records the calling thread has written but not committed."""
+    return len(_STEP.pending)
+
+
+class SteppedBackend(StorageBackend):
+    """The view of ``backend`` a store writes and reads through.
+
+    Writes join the calling thread's step (or commit at once when none is
+    open) and reads see them; everything else is ``backend``'s.  ``reload``
+    is the store's way back to a state derived from ``backend`` alone: it
+    is called when a commit carrying the store's records fails.
+    """
+
+    def __init__(
+        self, backend: StorageBackend, reload: Optional[Callable[[], None]] = None
+    ) -> None:
+        self._backend = backend
+        self._reload = reload
+        self.supports_prefix_scan = backend.supports_prefix_scan
+
+    def _pending(self, prefix: str = "") -> Dict[str, bytes]:
+        """This thread's uncommitted records under ``prefix``, in write order."""
+        backend = self._backend
+        return {
+            key: value
+            for (owner, key), value in _STEP.pending.items()
+            if owner is backend and key.startswith(prefix)
+        }
+
+    def put(self, key: str, value: bytes) -> None:
+        self.put_many(((key, value),))
+
+    def put_many(self, items: Iterable[Tuple[str, bytes]]) -> None:
+        backend = self._backend
+        rows = []
+        for key, value in items:
+            if not isinstance(value, (bytes, bytearray)):
+                raise PersistenceError("storage values must be bytes")
+            rows.append(((backend, key), bytes(value)))
+        thread = _STEP
+        thread.pending.update(rows)  # after the loop: a bad value rejects all
+        if self._reload is not None:
+            thread.reloads[self._reload] = None
+        if not thread.depth:
+            commit()
+
+    def get(self, key: str) -> Optional[bytes]:
+        pending = _STEP.pending
+        value = pending.get((self._backend, key)) if pending else None
+        return value if value is not None else self._backend.get(key)
+
+    def delete(self, key: str) -> None:
+        commit()  # a delete takes effect after the writes that preceded it
+        self._backend.delete(key)
+
+    # Outside a step nothing is pending and a read is the backend's own.
+
+    def keys(self) -> List[str]:
+        keys = self._backend.keys()
+        pending = _STEP.pending and self._pending()
+        if pending:
+            committed = set(keys)
+            keys = keys + [key for key in pending if key not in committed]
+        return keys
+
+    def scan(self, prefix: str) -> List[Tuple[str, bytes]]:
+        records = self._backend.scan(prefix)
+        pending = _STEP.pending and self._pending(prefix)
+        if pending:
+            records = sorted({**dict(records), **pending}.items())
+        return records
+
+    def scan_keys(self, prefix: str) -> List[str]:
+        keys = self._backend.scan_keys(prefix)
+        pending = _STEP.pending and self._pending(prefix)
+        if pending:
+            keys = sorted(set(keys).union(pending))
+        return keys
+
+    def scan_stats(self, prefix: str) -> Tuple[int, int]:
+        if _STEP.pending and self._pending(prefix):
+            return super().scan_stats(prefix)  # counted over the merged scan
+        return self._backend.scan_stats(prefix)
 
 
 class InMemoryBackend(StorageBackend):
@@ -303,12 +466,15 @@ class StorageProfile:
         because ``FileBackend`` owns its directory's index file
         exclusively.
     ``"sqlite:<path>"``
-        One shared :class:`~repro.persistence.sqlite_backend.SQLiteBackend`
-        database file.  Key prefixes (``evidence:``/``runjournal:``/
-        ``audit:`` plus the owner URI) already namespace every store and
-        owner, so many organisations -- and many OS processes -- share the
-        single embedded-KV file, and reopening stores costs O(queried)
-        via prefix scans instead of O(all records).
+        One shared database file, one
+        :class:`~repro.persistence.sqlite_backend.SQLiteBackend` (one
+        connection) per owner: an organisation's stores share it, so a
+        protocol step of theirs commits as one transaction.  Key prefixes
+        (``evidence:``/``runjournal:``/``audit:``/``state:`` plus the owner
+        URI) already namespace every store and owner, so many organisations
+        -- and many OS processes -- share the single embedded-KV file, and
+        reopening stores costs O(queried) via prefix scans instead of O(all
+        records).
     """
 
     KINDS = ("memory", "file", "sqlite")
@@ -316,6 +482,8 @@ class StorageProfile:
     def __init__(self, kind: str, location: Optional[str] = None) -> None:
         self.kind = kind
         self.location = location
+        self._sqlite: Dict[str, StorageBackend] = {}
+        self._lock = threading.Lock()
 
     @classmethod
     def parse(cls, profile: "str | StorageProfile") -> "StorageProfile":
@@ -341,7 +509,7 @@ class StorageProfile:
 
     def backend_for(self, owner: str, store: str) -> StorageBackend:
         """Provision the backend for one store (``evidence``/``runjournal``/
-        ``audit``) of ``owner``."""
+        ``audit``/``state``) of ``owner``."""
         if self.kind == "memory":
             return InMemoryBackend()
         if self.kind == "file":
@@ -350,7 +518,11 @@ class StorageProfile:
             )
         from repro.persistence.sqlite_backend import SQLiteBackend
 
-        return SQLiteBackend(self.location)
+        with self._lock:
+            backend = self._sqlite.get(owner)
+            if backend is None:
+                backend = self._sqlite[owner] = SQLiteBackend(self.location)
+        return backend
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         suffix = f":{self.location}" if self.location else ""

@@ -15,7 +15,10 @@ by resuming (everyone applies).  A proposer that never comes back at all is
 garbage-collected by the responders' proposal-age expiry timers.
 
 The fault schedule is seeded (``CHAOS_SEEDS`` environment variable, comma
-separated) so CI can fan out deterministic variations.
+separated) so CI can fan out deterministic variations.  ``CHAOS_STORAGE``
+(``file``, the default, or ``sqlite``) selects the proposer's persistent
+storage profile: on ``sqlite`` the step a journal barrier commits is one
+transaction, and that is what the kill lands on.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ INITIAL_STATE = {"revision": 0, "body": "draft"}
 REPO_ROOT = Path(__file__).resolve().parents[2]
 KILL_STAGES = ["after-journal-proposed", "after-journal-committed"]
 SEEDS = [int(seed) for seed in os.environ.get("CHAOS_SEEDS", "7").split(",")]
+STORAGE = os.environ.get("CHAOS_STORAGE") or "file"
 
 
 def crash_state(seed: int) -> dict:
@@ -60,7 +64,8 @@ def follow_up_state(seed: int, index: int, base_revision: int) -> dict:
 # This module doubles as the proposer's entry point (the pytest process hosts
 # the responders).  The proposer persists its identity and its durable stores
 # under --dir, so a relaunch with --phase recover is a true restart: same key
-# (the responders' TOFU pinning requires it), same journal, same evidence.
+# (the responders' TOFU pinning requires it), same journal, same evidence,
+# provisioned by one ``storage=`` profile under --dir.
 
 
 def _proposer_keypair(directory: Path):
@@ -88,7 +93,6 @@ def _proposer_keypair(directory: Path):
 
 def _proposer_domain(directory: Path):
     from repro import TrustDomain
-    from repro.persistence.storage import FileBackend
     from repro.transport.wire import WireTransport
 
     endpoint = json.loads((directory / "responders.json").read_text())
@@ -102,12 +106,7 @@ def _proposer_domain(directory: Path):
         transport=transport,
         scheme="hmac",
         durable_runs=True,
-        run_journal_backend_factory=lambda uri: FileBackend(
-            str(directory / "proposer-journal")
-        ),
-        evidence_backend_factory=lambda uri: FileBackend(
-            str(directory / "proposer-evidence")
-        ),
+        storage=f"{STORAGE}:{directory / 'proposer-store'}",
         keypair_factory=lambda uri: keypair,
     )
     domain.share_object(OBJECT_ID, dict(INITIAL_STATE))

@@ -73,9 +73,10 @@ class TestAgreedUpdates:
         outcome = a.propose_update("spec", {"sections": {"k": "v"}, "revision": 1})
         monkeypatch.undo()
         evidence = sorted(len(batch) for batch in batches if batch[0] == "evidence")
-        # Proposer: NRO_update, the two decisions together, NR_outcome.  Each
-        # responder: NRO_update, its decision, the outcome with both decisions.
-        assert evidence == [1, 1, 1, 1, 1, 1, 2, 3, 3]
+        # Proposer: NRO_update before the proposal leaves, the two decisions
+        # and NR_outcome before the outcome does.  Each responder: NRO_update
+        # with its decision, then the outcome with both decisions.
+        assert evidence == [1, 2, 2, 3, 3, 3]
         # Each replica applies with one write: snapshot + history entry.
         assert [batch for batch in batches if batch[0] == "state"] == [["state"] * 2] * 3
         for org in (b, c):
@@ -160,6 +161,45 @@ class TestVetoedUpdates:
         assert observed["current"]["revision"] == 0
         assert observed["proposed"]["sections"] == {"new": "yes"}
         assert observed["proposer"] == a.uri
+
+    def test_validator_gets_its_own_copy_of_the_current_state(self, sharing_domain):
+        a, b, _ = orgs(sharing_domain)
+        copies = []
+
+        def vandal(context):
+            copies.append(context.current_state)
+            context.current_state["sections"]["defaced"] = "yes"
+            context.current_state["revision"] = 99
+            assert context.current_state is copies[-1]  # read once, cached
+            return True
+
+        b.controller.add_validator("spec", CallableValidator(vandal, name="vandal"))
+        b.controller.add_validator("spec", CallableValidator(vandal, name="vandal-2"))
+        assert a.propose_update("spec", {"sections": {}, "revision": 1}).agreed
+        assert a.propose_update("spec", {"sections": {"x": "1"}, "revision": 2}).agreed
+        # Each context decoded its own copy; none of them is the replica.
+        assert copies[0] is copies[1] and copies[1] is not copies[2]
+        assert copies[2] == {"sections": {"defaced": "yes"}, "revision": 99}
+        assert b.shared_state("spec") == {"sections": {"x": "1"}, "revision": 2}
+
+    def test_current_state_is_not_decoded_unless_a_validator_reads_it(
+        self, sharing_domain, monkeypatch
+    ):
+        from repro.core import sharing
+
+        a, b, c = orgs(sharing_domain)
+        c.controller.add_validator(
+            "spec", CallableValidator(lambda ctx: ctx.proposed_state["revision"] > 0)
+        )
+        decoded = []
+        state_copy = sharing._SharedObject.state_copy  # noqa: SLF001
+        monkeypatch.setattr(
+            sharing._SharedObject,  # noqa: SLF001
+            "state_copy",
+            lambda shared: decoded.append(shared.object_id) or state_copy(shared),
+        )
+        assert a.propose_update("spec", {"sections": {}, "revision": 1}).agreed
+        assert decoded == []  # no validator at b, one at c that never looked
 
     def test_stale_base_version_rejected(self, sharing_domain):
         a, b, _ = orgs(sharing_domain)

@@ -6,14 +6,23 @@ upsert keeping position, prefix scans in key order -- identically for the
 in-memory, file and SQLite backends.  A second battery covers what is
 specific to the embedded-KV backend (persistence across reopen, many
 logical stores sharing one database file) and the ``StorageProfile``
-selector behind ``TrustDomain.create(storage=...)``.
+selector behind ``TrustDomain.create(storage=...)``.  A third covers the
+storage step the stores write through: what a failed commit leaves behind,
+and that stepping changes when records are written, never which.
 """
 
+import contextlib
+import tempfile
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.clock import SimulatedClock
 from repro.errors import PersistenceError, StateStoreError
+from repro.persistence import storage
+from repro.persistence.audit_log import AuditLog
 from repro.persistence.evidence_store import EvidenceStore
+from repro.persistence.run_journal import RunJournal
 from repro.persistence.sqlite_backend import SQLiteBackend
 from repro.persistence.state_store import StateStore
 from repro.persistence.storage import (
@@ -154,6 +163,51 @@ class _LoopingFlaky:
             self.put(key, value)
 
 
+OWNER = "urn:org:a"
+
+
+class _Stores:
+    """The four stores of one organisation over one backend, on a fixed clock."""
+
+    def __init__(self, backend):
+        clock = SimulatedClock(start=5.0)
+        self.evidence = EvidenceStore(OWNER, backend, clock)
+        self.journal = RunJournal(OWNER, backend)
+        self.state = StateStore(OWNER, backend)
+        self.audit = AuditLog(OWNER, backend, clock)
+
+    def protocol_step(self, run, version):
+        """What one proposer step writes, the journal edge last."""
+        self.evidence.store_many(
+            run,
+            [
+                ("nr-decision", {"token_id": f"{run}-d{i}"}, EvidenceStore.ROLE_RECEIVED)
+                for i in range(2)
+            ],
+        )
+        self.state.record_version(
+            "doc", {"rev": version}, outcome_version=version,
+            outcome_record={"run_id": run, "new_version": version},
+        )
+        self.audit.append("nr.sharing", run, {"event": "update-coordinated"})
+        self.journal.record_settled(run, agreed=True)
+
+    def consistent_with(self, backend):
+        """Every store's derived state equals what a reopened store derives."""
+        fresh = _Stores(backend)
+        assert self.evidence.run_ids() == fresh.evidence.run_ids()
+        for run in fresh.evidence.run_ids():
+            assert self.evidence.evidence_for_run(run) == fresh.evidence.evidence_for_run(run)
+        assert self.evidence.total_records() == fresh.evidence.total_records()
+        assert self.evidence.storage_bytes() == fresh.evidence.storage_bytes()
+        assert self.state.version_count("doc") == fresh.state.version_count("doc")
+        assert self.state.latest_digest("doc") == fresh.state.latest_digest("doc")
+        assert len(self.audit) == len(fresh.audit)
+        assert self.audit.head_digest == fresh.audit.head_digest
+        assert self.audit.verify_integrity()
+        assert sorted(self.journal.all_runs()) == sorted(fresh.journal.all_runs())
+
+
 @pytest.mark.parametrize("open_backend", BACKENDS, indirect=True)
 class TestWritePathContract:
     """Batched writes are the same writes; history costs O(1) per version."""
@@ -289,6 +343,160 @@ class TestWritePathContract:
         assert reopened.outcome_record("doc", 1) is None
         assert reopened.version_count("doc") == 2
 
+    def test_a_step_is_one_batch_per_backend_in_write_order(self, open_backend):
+        backend = _PutSpy(open_backend())
+        stores = _Stores(backend)
+        with storage.step():
+            stores.protocol_step("run-1", 0)
+            assert stores.evidence.total_records() == 2  # reads see the step
+            assert stores.audit.record(0).subject == "run-1"
+            assert storage.pending_records() == 0  # the journal edge committed
+            stores.audit.append("nr.sharing", "run-1", {"event": "tail"})
+            assert backend.batches[1:] == []
+        first, tail = backend.batches
+        assert [key.split(":", 1)[0] for key, _ in first] == (
+            ["evidence"] * 2 + ["state"] * 3 + ["audit", "runjournal"]
+        )
+        assert [key for key, _ in tail] == [f"audit:{OWNER}:000000000001"]
+        stores.consistent_with(backend)
+
+    def test_a_commit_the_backend_refuses_leaves_nothing_behind(self, open_backend):
+        class Refusing(_PutSpy):
+            refuse = False
+
+            def put_many(self, items):
+                if self.refuse:
+                    raise PersistenceError("disk full")
+                super().put_many(items)
+
+        inner = open_backend()
+        backend = Refusing(inner)
+        stores = _Stores(backend)
+        stores.protocol_step("run-0", 0)
+        before = inner.scan("")
+        backend.refuse = True
+        with pytest.raises(PersistenceError, match="disk full"):
+            with storage.step():
+                stores.protocol_step("run-1", 1)  # raises at the journal edge
+        assert storage.pending_records() == 0
+        assert inner.scan("") == before
+        stores.consistent_with(inner)
+        assert stores.state.version_count("doc") == 1 and len(stores.audit) == 1
+        backend.refuse = False
+        with storage.step():
+            stores.protocol_step("run-1", 1)  # same keys as the refused attempt
+        assert f"evidence:{OWNER}:run-1:nr-decision:received:0" in inner.keys()
+        assert f"audit:{OWNER}:000000000001" in inner.keys()
+        stores.consistent_with(inner)
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4, 6, 7])
+    def test_a_looping_backend_that_fails_in_a_step_keeps_the_written_prefix(
+        self, open_backend, fail_at
+    ):
+        inner = open_backend()
+        reference = _Stores(InMemoryBackend())
+        reference.protocol_step("run-1", 0)
+        expected = reference.evidence._backend.keys()[: fail_at - 1]  # noqa: SLF001
+        stores = _Stores(_LoopingFlaky(inner, fail_at=fail_at))
+        with pytest.raises(PersistenceError, match="disk full"):
+            with storage.step():
+                stores.protocol_step("run-1", 0)
+        assert inner.keys() == expected
+        stores.consistent_with(inner)
+        # The next step neither reuses a kept sequence number nor skips one.
+        stores.evidence.store("run-1", "nr-outcome", {"token_id": "o"})
+        assert inner.keys()[-1].endswith(f":nr-outcome:received:{min(fail_at - 1, 2)}")
+
+    def test_an_audit_log_reopened_over_a_gap_ends_before_it(self, open_backend):
+        # Two threads' steps commit in either order; a crash between them can
+        # persist a later index without an earlier one.
+        backend = open_backend()
+        log = AuditLog(OWNER, backend)
+        for subject in ("s0", "s1", "s2"):
+            log.append("nr.sharing", subject)
+        backend.delete(f"audit:{OWNER}:000000000001")
+        reopened = AuditLog(OWNER, backend)
+        assert len(reopened) == 1 and reopened.verify_integrity()
+        reopened.append("nr.sharing", "again")
+        assert [record.subject for record in reopened.records()] == ["s0", "again"]
+
+    def test_the_error_reaches_whoever_leaves_the_step(self, open_backend):
+        stores = _Stores(_LoopingFlaky(open_backend(), fail_at=1))
+        with pytest.raises(PersistenceError, match="disk full"):
+            with storage.step():
+                stores.audit.append("nr.sharing", "run-1")  # no error yet
+        assert len(stores.audit) == 0 and stores.audit.verify_integrity()
+
+
+_STORE_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from(["evidence", "evidence-batch", "state", "audit", "journal"]),
+        st.integers(min_value=0, max_value=2),  # which run / object
+        st.sampled_from(["outside", "open", "close"]),  # step boundary before it
+    ),
+    max_size=14,
+)
+
+
+def _apply(stores, calls, stepping):
+    """Run ``calls`` against ``stores``, honouring step boundaries iff ``stepping``."""
+    with contextlib.ExitStack() as steps:
+        for index, (call, which, boundary) in enumerate(calls):
+            if stepping and boundary == "open":
+                steps.enter_context(storage.step())  # nests when one is open
+            elif stepping and boundary == "close":
+                steps.close()
+            run = f"run-{which}"
+            if call == "evidence":
+                stores.evidence.store(run, "nr-decision", {"token_id": index})
+            elif call == "evidence-batch":
+                stores.evidence.store_many(
+                    run,
+                    [("t", {"token_id": f"{index}-{i}"}, "generated") for i in range(3)],
+                )
+            elif call == "state":
+                stores.state.record_version(
+                    f"doc-{which}", {"rev": index}, index, {"run_id": run}
+                )
+            elif call == "audit":
+                stores.audit.append("nr.sharing", run, {"index": index})
+            else:
+                stores.journal.record_proposed(
+                    run, kind="update", object_id="doc", proposer=OWNER,
+                    peers=[], proposal={"index": index},
+                )
+            # A store reads its own writes back, committed or not.
+            assert stores.audit.verify_integrity()
+            assert stores.evidence.total_records() == sum(
+                len(stores.evidence.evidence_for_run(r)) for r in stores.evidence.run_ids()
+            )
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+@settings(max_examples=25, deadline=None, suppress_health_check=list(HealthCheck))
+@given(calls=_STORE_CALLS)
+def test_stepping_changes_when_records_are_written_never_which(kind, calls):
+    def open_(directory, name):
+        if kind == "memory":
+            return InMemoryBackend()
+        if kind == "file":
+            return FileBackend(f"{directory}/{name}")
+        return SQLiteBackend(f"{directory}/{name}.db")
+
+    with tempfile.TemporaryDirectory() as directory:
+        stepped, plain = open_(directory, "stepped"), open_(directory, "plain")
+        try:
+            _apply(_Stores(stepped), calls, stepping=True)
+            _apply(_Stores(plain), calls, stepping=False)
+            assert storage.pending_records() == 0
+            assert stepped.keys() == plain.keys()  # keys, insertion order
+            assert stepped.scan("") == plain.scan("")  # bytes
+            _Stores(stepped).consistent_with(plain)
+        finally:
+            for backend in (stepped, plain):
+                if kind == "sqlite":
+                    backend.close()
+
 
 class TestSQLiteBackend:
     def test_put_many_is_all_or_nothing(self, tmp_path):
@@ -418,6 +626,9 @@ class TestStorageProfile:
         profile = StorageProfile.parse(f"sqlite:{tmp_path}/kv.db")
         a = profile.backend_for("urn:org:a", "evidence")
         b = profile.backend_for("urn:org:b", "audit")
+        # One connection per owner: an owner's step is one transaction.
+        assert profile.backend_for("urn:org:a", "audit") is a
+        assert b is not a
         a.put("k", b"v")
         assert b.get("k") == b"v"  # one shared KV; key prefixes namespace it
         assert a.supports_prefix_scan

@@ -83,6 +83,26 @@ class TestCallableValidator:
         assert captured == {"object_id": "doc", "proposer": "urn:org:z", "base_version": 4}
 
 
+    def test_current_state_may_be_a_loader_run_on_first_read(self):
+        import dataclasses
+
+        loads = []
+
+        def load():
+            loads.append(1)
+            return {"revision": 7}
+
+        context = ValidationContext("doc", "urn:org:z", load, {}, 4)
+        assert loads == []
+        assert context.current_state == {"revision": 7}
+        assert context.current_state is context.current_state and loads == [1]
+        assert context == ValidationContext("doc", "urn:org:z", {"revision": 7}, {}, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            context.current_state = {}
+        with pytest.raises(TypeError):
+            ValidationContext("doc", "urn:org:z")  # still a required field
+
+
 class TestCompositeValidator:
     def test_empty_composite_accepts(self, context):
         assert CompositeValidator().validate(context).accepted
