@@ -61,11 +61,18 @@ that representation is reused everywhere downstream.
   unchanged key require an explicit ``invalidate(key)``.
 
 * **Verification memoisation** -- signature verification verdicts are
-  memoised process-wide, keyed on (scheme, key id, digest, signature bytes),
-  so redistributed ``NR_DECISION``/``NR_OUTCOME`` tokens verify once per
-  process.  Signing uses per-key CRT exponents, and all modular
-  exponentiation routes through OpenSSL's ``BN_mod_exp`` when libcrypto is
-  loadable (``repro.crypto.modexp``), with a built-in ``pow`` fallback.
+  memoised process-wide, keyed on (scheme, key-material fingerprint, digest,
+  signature bytes) -- never the declared key id -- so redistributed
+  ``NR_DECISION``/``NR_OUTCOME`` tokens verify once per process.  A token
+  hashes its signed body once per object (``EvidenceToken.body_digest``,
+  seeded by the builder with the digest it signed) and the verifier passes
+  that digest on instead of rehashing.  RSA prepares each key's
+  exponentiations once (``repro.crypto.modexp.prepare_mod_exp``): the two
+  CRT halves on OpenSSL's constant-time ``BN_mod_exp_mont_consttime``, the
+  public exponent on ``BN_mod_exp_mont``, each with its Montgomery context
+  cached, keyed on key material; other schemes call the one-shot
+  ``BN_mod_exp``.  Without libcrypto everything falls back to the built-in
+  ``pow`` with identical results.
 
 * **Batched coordination fan-out** -- ``B2BCoordinator.request_all`` /
   ``send_all`` deliver a whole fan-out through one batched, retried network
@@ -112,7 +119,8 @@ On top of the encode-once substrate, the protocol engine runs concurrently:
   ``SequentialDispatch`` (default) preserves strict entry-order execution,
   ``ParallelDispatch`` runs the admitted handlers of one ``send_batch`` on a
   shared worker pool, so per-destination link latency and GIL-releasing
-  signature work (``BN_mod_exp`` via ctypes) overlap across the fan-out.
+  signature work (OpenSSL exponentiation via ctypes) overlap across the
+  fan-out.
   Property tests assert that both strategies produce identical
   ``NetworkStatistics`` and replica state for the same seeded fault model.
 

@@ -100,6 +100,19 @@ class EvidenceToken:
             self.__dict__["_body_bytes"] = cached
         return cached
 
+    def body_digest(self) -> bytes:
+        """``secure_hash(body_bytes())`` -- the digest the signature covers.
+
+        Hashed from this token's own body once per object, however often the
+        token is verified; never taken from the (received)
+        ``signature.digest``.
+        """
+        cached = self.__dict__.get("_body_digest")
+        if cached is None:
+            cached = secure_hash(self.body_bytes())
+            self.__dict__["_body_digest"] = cached
+        return cached
+
     def _build_dict(self) -> Dict[str, Any]:
         """Dictionary form sharing the instance caches; internal use only."""
         payload: Dict[str, Any] = {
@@ -265,8 +278,10 @@ class EvidenceBuilder:
             timestamp_token=timestamp_token,
         )
         # The signature covers only the body, which is identical for the
-        # signed copy -- seed its cache instead of re-encoding.
+        # signed copy -- seed its caches instead of re-encoding and
+        # re-hashing (the digest is the one this party just signed).
         signed.__dict__["_body_bytes"] = body
+        signed.__dict__["_body_digest"] = signature.digest
         return signed
 
 
@@ -360,12 +375,13 @@ class EvidenceVerifier:
                 f"no verification key known for issuer {token.issuer!r}"
             )
         scheme = get_scheme(key.scheme)
+        body, digest = token.body_bytes(), token.body_digest()
         observe = _OBS.observe_verify
         if observe is None:
-            valid = scheme.verify(key, token.body_bytes(), token.signature)
+            valid = scheme.verify(key, body, token.signature, message_digest=digest)
         else:
             started = perf_counter()
-            valid = scheme.verify(key, token.body_bytes(), token.signature)
+            valid = scheme.verify(key, body, token.signature, message_digest=digest)
             observe(perf_counter() - started)
         if not valid:
             raise EvidenceVerificationError(

@@ -3,17 +3,26 @@
 Key generation uses Miller-Rabin prime generation; signing follows the
 hash-then-pad-then-exponentiate structure of PKCS#1 v1.5 (a deterministic
 padding of the digest with a scheme identifier, then modular exponentiation
-with the private exponent).  The implementation targets correctness and
-auditability, not constant-time operation -- it is the "perfect cryptography"
-substrate assumed by the paper, not a hardened production library.
+with the private exponent).
+
+Each key's exponentiations are prepared once (:func:`repro.crypto.modexp.
+prepare_mod_exp`) and reused for every signature and verification: the two
+CRT halves of a private key run on OpenSSL's constant-time kernel, the
+public exponent on its variable-time one.  Only those halves are
+constant-time -- the padding, the reduction of the padded digest and the
+Garner recombination are Python integer arithmetic, which is not.  The
+implementation targets correctness and auditability; it is the "perfect
+cryptography" substrate assumed by the paper, not a hardened production
+library.  Padding is deterministic, so a signature's bytes depend on key and
+digest only, never on which path computed it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
-from repro.crypto.modexp import mod_exp
+from repro.crypto.modexp import Kernel, prepare_mod_exp
 from repro.crypto.primality import generate_prime, modular_inverse
 from repro.crypto.rng import SecureRandom, default_rng
 from repro.errors import SignatureError
@@ -29,6 +38,9 @@ PUBLIC_EXPONENT = 65537
 
 # DigestInfo-style prefix identifying the digest algorithm inside the padding.
 _DIGEST_PREFIX = b"repro-rsa-sha256:"
+
+# Keys whose prepared kernels one scheme instance keeps (per cache).
+_MAX_CACHED_KEYS = 1024
 
 
 def _pad_digest(digest: bytes, modulus_bytes: int) -> int:
@@ -83,43 +95,27 @@ class RSAScheme(SignatureScheme):
         return KeyPair(private=private, public=public)
 
     def __init__(self) -> None:
-        # Per-key CRT exponents (dp, dq, qinv), derived once per key id.
-        self._crt_params: dict = {}
+        # Prepared exponentiations, keyed by the key material they compute
+        # with -- (n, d) for signing, (n, e) for verification -- and never by
+        # the declared key_id, which deserialisation accepts verbatim (the
+        # rule of ``PublicKey.material_fingerprint``).
+        self._private_kernels: Dict[Tuple[int, int], Kernel] = {}
+        self._public_kernels: Dict[Tuple[int, int], Kernel] = {}
 
     def sign_digest(self, private_key: PrivateKey, digest: bytes) -> bytes:
-        n = private_key.params["n"]
-        d = private_key.params["d"]
+        params = private_key.params
+        n = params["n"]
         modulus_bytes = (n.bit_length() + 7) // 8
         message_int = _pad_digest(digest, modulus_bytes)
         if message_int >= n:
             raise SignatureError("padded digest exceeds modulus")
-        signature_int = self._private_exponentiate(private_key, message_int, n, d)
-        return signature_int.to_bytes(modulus_bytes, "big")
-
-    def _private_exponentiate(
-        self, private_key: PrivateKey, message_int: int, n: int, d: int
-    ) -> int:
-        """Compute ``message_int ** d mod n``, via CRT when p and q are known.
-
-        Garner recombination over the half-size primes produces a value
-        identical to the direct exponentiation at roughly a quarter of the
-        cost; the per-key exponents are computed once and cached.
-        """
-        p = private_key.params.get("p")
-        q = private_key.params.get("q")
-        if not p or not q:
-            return mod_exp(message_int, d, n)
-        crt = self._crt_params.get(private_key.key_id)
-        if crt is None:
-            crt = (d % (p - 1), d % (q - 1), modular_inverse(q, p))
-            if len(self._crt_params) >= 1024:
-                self._crt_params.clear()
-            self._crt_params[private_key.key_id] = crt
-        dp, dq, q_inverse = crt
-        m1 = mod_exp(message_int % p, dp, p)
-        m2 = mod_exp(message_int % q, dq, q)
-        h = ((m1 - m2) * q_inverse) % p
-        return (m2 + h * q) % n
+        key = (n, params["d"])
+        exponentiate = self._private_kernels.get(key)
+        if exponentiate is None:
+            exponentiate = _cached(
+                self._private_kernels, key, _private_exponentiation(params)
+            )
+        return exponentiate(message_int).to_bytes(modulus_bytes, "big")
 
     def verify_digest(
         self, public_key: PublicKey, digest: bytes, signature: bytes
@@ -132,9 +128,49 @@ class RSAScheme(SignatureScheme):
         signature_int = int.from_bytes(signature, "big")
         if signature_int >= n:
             return False
-        recovered = mod_exp(signature_int, e, n)
+        key = (n, e)
+        kernel = self._public_kernels.get(key)
+        if kernel is None:
+            kernel = _cached(
+                self._public_kernels, key, prepare_mod_exp(e, n, secret=False)
+            )
+        recovered = kernel(signature_int)
         try:
             expected = _pad_digest(digest, modulus_bytes)
         except SignatureError:
             return False
         return recovered == expected
+
+
+def _cached(
+    cache: Dict[Tuple[int, int], Kernel], key: Tuple[int, int], kernel: Kernel
+) -> Kernel:
+    """Remember ``kernel`` under ``key``; a full cache starts over."""
+    if len(cache) >= _MAX_CACHED_KEYS:
+        cache.clear()
+    cache[key] = kernel
+    return kernel
+
+
+def _private_exponentiation(params: Mapping[str, Any]) -> Kernel:
+    """``m -> m ** d % n`` for one private key, with its kernels prepared.
+
+    With the primes known this is Garner recombination over the two
+    half-size constant-time kernels -- a value identical to the direct
+    exponentiation at roughly a quarter of the cost.
+    """
+    n, d = params["n"], params["d"]
+    p, q = params.get("p"), params.get("q")
+    if not p or not q:
+        return prepare_mod_exp(d, n, secret=True)
+    half_p = prepare_mod_exp(d % (p - 1), p, secret=True)
+    half_q = prepare_mod_exp(d % (q - 1), q, secret=True)
+    q_inverse = modular_inverse(q, p)
+
+    def exponentiate(message_int: int) -> int:
+        m1 = half_p(message_int % p)
+        m2 = half_q(message_int % q)
+        h = ((m1 - m2) * q_inverse) % p
+        return (m2 + h * q) % n
+
+    return exponentiate

@@ -92,9 +92,18 @@ class SignatureScheme:
         )
 
     def verify(
-        self, public_key: PublicKey, message: bytes, signature: Signature
+        self,
+        public_key: PublicKey,
+        message: bytes,
+        signature: Signature,
+        message_digest: Optional[bytes] = None,
     ) -> bool:
         """Verify a :class:`Signature` object against ``message``.
+
+        ``message_digest`` is ``secure_hash(message)`` when the caller has
+        already computed it from ``message`` itself (an evidence token hashes
+        its body once per object); it is never a received value such as
+        ``signature.digest``, which is checked against it.
 
         Results are memoised process-wide: re-verifying a token that was
         redistributed (e.g. ``NR_DECISION`` evidence forwarded with an
@@ -110,7 +119,7 @@ class SignatureScheme:
             return False
         if public_key.key_id != signature.key_id:
             return False
-        digest = secure_hash(message)
+        digest = secure_hash(message) if message_digest is None else message_digest
         if digest != signature.digest:
             return False
         # Key on the recomputed material fingerprint, not the declared

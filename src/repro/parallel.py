@@ -15,7 +15,7 @@ degrades to the sequential behaviour, which is always correct because every
 parallel path in this package is also valid executed serially.
 
 The heavy lifting on these paths is multi-hundred-bit modular exponentiation
-routed through OpenSSL's ``BN_mod_exp`` via :mod:`ctypes`
+routed through OpenSSL's Montgomery kernels via :mod:`ctypes`
 (:mod:`repro.crypto.modexp`); ctypes foreign calls release the GIL, so
 signature work genuinely overlaps across workers, as do real-latency sleeps
 of a wall-clock network model.

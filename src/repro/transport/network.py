@@ -41,7 +41,7 @@ from repro import codec, parallel
 from repro.clock import Clock, MonotonicCounter, SimulatedClock
 from repro.errors import DeliveryError, UnknownEndpointError
 from repro.faults.breaker import CircuitBreaker
-from repro.faults.plan import FaultDecision, FaultInjector, FaultPlan
+from repro.faults.plan import CLEAN_DECISION, FaultDecision, FaultInjector, FaultPlan
 from repro.observability import tracing as _tracing
 from repro.observability.runtime import STATE as _OBS
 from repro.transport.recorder import MessageTraceRecorder
@@ -331,8 +331,8 @@ class SequentialDispatch(DispatchStrategy):
 class ParallelDispatch(DispatchStrategy):
     """Dispatch admitted handlers concurrently on a thread pool.
 
-    Per-destination link-latency sleeps and GIL-releasing crypto
-    (``BN_mod_exp`` via ctypes) overlap across the fan-out, so an 8-party
+    Per-destination link-latency sleeps and GIL-releasing crypto (OpenSSL
+    exponentiation via ctypes) overlap across the fan-out, so an 8-party
     proposal round pays one round-trip latency instead of eight.  Nested
     fan-outs issued from a worker thread run inline sequentially (see
     :mod:`repro.parallel`), which keeps pool-exhaustion deadlocks impossible.
@@ -407,10 +407,15 @@ class SimulatedNetwork:
         self.circuit_breaker: Optional[CircuitBreaker] = None
         self.audit_log = None
         self._endpoints: Dict[str, Endpoint] = {}
+        model = self.fault_model
+        # An all-zero model draws nothing and always decides clean: admission
+        # then skips the injector (and its lock) altogether.
+        self._injector: Optional[FaultInjector] = None
         if fault_plan is not None:
             self._injector = FaultInjector(plan=fault_plan)
-        else:
-            self._injector = FaultInjector(model=self.fault_model)
+        elif any((model.drop_probability, model.duplicate_probability,
+                  model.latency_seconds, model.jitter_seconds)):
+            self._injector = FaultInjector(model=model)
         self._message_counter = MonotonicCounter(1)
         self._lock = threading.RLock()
         self._recorder = MessageTraceRecorder()
@@ -537,7 +542,11 @@ class SimulatedNetwork:
             self.statistics.messages_dropped += 1
             raise DeliveryError(f"endpoint {destination!r} is offline")
 
-        decision = self._injector.decide(sender, destination, message.operation)
+        injector = self._injector
+        if injector is None:
+            decision = CLEAN_DECISION
+        else:
+            decision = injector.decide(sender, destination, message.operation)
         if decision.partitioned:
             self.statistics.messages_dropped += 1
             raise DeliveryError(

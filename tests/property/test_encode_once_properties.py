@@ -4,7 +4,8 @@ Covers the canonical-encoding invariants the pipeline relies on: the
 fragment writer is byte-identical to the reference ``json.dumps`` encoding,
 splicing pre-canonicalised values never changes the output, sets (including
 heterogeneous ones) encode deterministically, and the OpenSSL modular
-exponentiation backend agrees with the built-in ``pow``.
+exponentiation backend -- one-shot and prepared kernels -- agrees with the
+built-in ``pow``.
 """
 
 import json
@@ -12,7 +13,7 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import codec
-from repro.crypto.modexp import mod_exp
+from repro.crypto.modexp import mod_exp, prepare_mod_exp
 
 _SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -247,3 +248,15 @@ class TestModExpBackendProperties:
     )
     def test_mod_exp_matches_builtin_pow(self, base, exponent, modulus):
         assert mod_exp(base, exponent, modulus) == pow(base, exponent, modulus)
+
+    @_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=2 ** 1100),
+        st.integers(min_value=0, max_value=2 ** 512),
+        st.integers(min_value=1, max_value=2 ** 1024).map(lambda half: 2 * half + 1),
+        st.booleans(),
+    )
+    def test_prepared_kernel_matches_builtin_pow(self, base, exponent, modulus, secret):
+        # Odd moduli from 3 up, bases past the modulus, both kernels.
+        kernel = prepare_mod_exp(exponent, modulus, secret=secret)
+        assert kernel(base) == pow(base, exponent, modulus)

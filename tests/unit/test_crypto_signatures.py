@@ -1,7 +1,13 @@
 """Unit tests for the signature schemes and the scheme registry."""
 
+import gc
+import random
+import sys
+import threading
+
 import pytest
 
+from repro.crypto import modexp
 from repro.crypto.dsa import DSAScheme, generate_domain_parameters
 from repro.crypto.forward_secure import (
     ForwardSecureScheme,
@@ -12,8 +18,10 @@ from repro.crypto.forward_secure import (
     evolve_key,
     period_precompute_stats,
 )
+from repro.crypto.hashing import secure_hash
 from repro.crypto.hmac_scheme import HMACScheme
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
+from repro.crypto.modexp import prepare_mod_exp
 from repro.crypto.primality import generate_prime, is_probable_prime, modular_inverse
 from repro.crypto.rsa import RSAScheme
 from repro.crypto.signature import (
@@ -94,6 +102,210 @@ class TestRSA:
         scheme = RSAScheme()
         signature = scheme.sign(keypair.private, b"small key message")
         assert scheme.verify(keypair.public, b"small key message", signature)
+
+
+# A fixed 1024-bit key and its signatures as computed before signing moved
+# onto prepared kernels: padding is deterministic, so the bytes must never
+# change whatever computes the exponentiation.
+_GOLDEN_P = int(
+    "91fabafad894960a9f20ef9726aff7afea30285f0bd84d5d867c887b10617c65"
+    "591359bd8b9b1920e644186edab9d6574b1e2b9119f07282316b4d7f95f2a843",
+    16,
+)
+_GOLDEN_Q = int(
+    "f5b8a6246e4d7fe5a8ae7280263d96914094ca14568c66cbf609a138565dad26"
+    "404408a95e4d807d158fcc2b424d632cabd4b297f3cfa8b9cda3824e0a689ac7",
+    16,
+)
+_GOLDEN_SIGNATURES = {
+    b"\x00" * 32: (
+        "76d366b74e344503a9c2d695f7105eb3fe591d79525199ccacdea2a705bcdfb4"
+        "ef4075c7a1654584a67401b3a2c6576226ec8b1625e0b64a1778f915485337cb"
+        "8561b9b9c3d3ded5abd49fc3bba74b6d11aaa59cfe6d1619a6c9d144bb0ee447"
+        "6e5a95876f1b001a6efa27ff9a49d4e7db4609c921681d9150084cb499feb9e9"
+    ),
+    b"\xff" * 32: (
+        "2f38da4930cb0852bad746d72ceaa76897dac6cfc6ad38f71d728e9e42e123fe"
+        "4ebccf45ef075e8ac4de2bbeea50c6022415313eb6b3dea95a320f1386433e0d"
+        "2e6259e3df535c421265ef944c69a85fcc3f5fad779fc4c4b9e9003c94bf7b5e"
+        "4a4bd73dc0d407c69da316108b5069bd0f46d8a8ea8ddcfe50d366eaf4cea85d"
+    ),
+    bytes(range(32)): (
+        "6142fa511e2d7aca9a33a18217c208dd2d16d343f92f15b084e0a97f97b406cc"
+        "516e5c15bc954131e10506aa557378e7a17696ea5d9c496cbd753a8ef874234e"
+        "f1691b21acbcdc29d6eb60f8f465bcff0a87e4525da018f3efeabc88762e1dab"
+        "10989294e596abebd7973c6d59fcabc0b6d74898b0a9b6bf44dfe00f68ec6d4e"
+    ),
+}
+
+
+def _golden_keypair() -> KeyPair:
+    n = _GOLDEN_P * _GOLDEN_Q
+    d = modular_inverse(65537, (_GOLDEN_P - 1) * (_GOLDEN_Q - 1))
+    public = PublicKey(scheme="rsa", params={"n": n, "e": 65537})
+    private = PrivateKey(
+        scheme="rsa",
+        params={"n": n, "e": 65537, "d": d, "p": _GOLDEN_P, "q": _GOLDEN_Q},
+        key_id=public.key_id,
+    )
+    return KeyPair(private=private, public=public)
+
+
+def _signatures(scheme, private_key):
+    return {digest: scheme.sign_digest(private_key, digest) for digest in _GOLDEN_SIGNATURES}
+
+
+requires_openssl = pytest.mark.skipif(
+    modexp.backend_name() != "openssl", reason="libcrypto binding unavailable"
+)
+
+
+class TestPreparedKernels:
+    @pytest.mark.parametrize("secret", [False, True])
+    def test_kernel_matches_pow_on_odd_moduli(self, secret):
+        rng = random.Random(7)
+        for bits in (2, 3, 5, 17, 64, 127, 512, 1024, 2048):
+            modulus = rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+            exponents = [0, 1, 2, 65537, rng.getrandbits(min(bits, 256))]
+            bases = [0, 1, modulus - 1, modulus, modulus + 1, 3 * modulus + 5, -5]
+            bases.append(rng.getrandbits(2 * bits))
+            for exponent in exponents:
+                kernel = prepare_mod_exp(exponent, modulus, secret=secret)
+                for base in bases:
+                    assert kernel(base) == pow(base, exponent, modulus), (bits, exponent)
+
+    def test_even_and_degenerate_moduli_take_the_pow_path(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("OpenSSL kernel prepared for an unsupported modulus")
+
+        monkeypatch.setattr(modexp, "_OPENSSL_PREPARE", refuse)
+        for modulus in (1, 2, 10, 2**64, 2**1023 * 3, -7):
+            for secret in (False, True):
+                kernel = prepare_mod_exp(65537, modulus, secret=secret)
+                for base in (0, 5, 2**80 + 1):
+                    assert kernel(base) == pow(base, 65537, modulus)
+        assert prepare_mod_exp(-1, 7, secret=False)(3) == pow(3, -1, 7)
+
+    def test_signatures_equal_the_pre_kernel_golden_vectors(self):
+        keypair = _golden_keypair()
+        scheme = RSAScheme()
+        for digest, expected in _GOLDEN_SIGNATURES.items():
+            signature = scheme.sign_digest(keypair.private, digest)
+            assert signature.hex() == expected
+            assert scheme.verify_digest(keypair.public, digest, signature)
+
+    def test_signatures_byte_identical_with_the_binding_disabled(self, monkeypatch):
+        keypair = _golden_keypair()
+        accelerated = _signatures(RSAScheme(), keypair.private)
+        monkeypatch.setattr(modexp, "_OPENSSL_PREPARE", None)
+        fallback = RSAScheme()
+        assert _signatures(fallback, keypair.private) == accelerated
+        for digest, signature in accelerated.items():
+            assert fallback.verify_digest(keypair.public, digest, signature)
+        stripped = PrivateKey(
+            scheme="rsa",
+            params={
+                name: value
+                for name, value in keypair.private.params.items()
+                if name not in ("p", "q")
+            },
+            key_id=keypair.private.key_id,
+        )
+        assert _signatures(RSAScheme(), stripped) == accelerated
+
+    def test_threads_sharing_kernels_agree_with_one_thread(self, rsa_keypair):
+        golden = _golden_keypair()
+        keys = [rsa_keypair, golden]
+        digests = [secure_hash(b"stress-%d" % i) for i in range(24)]
+        reference_scheme = RSAScheme()
+        expected = [
+            [reference_scheme.sign_digest(key.private, digest) for digest in digests]
+            for key in keys
+        ]
+        shared = RSAScheme()
+        results = {}
+        errors = []
+
+        def work(worker):
+            try:
+                signed = [
+                    [shared.sign_digest(key.private, digest) for digest in digests]
+                    for key in keys
+                ]
+                verified = all(
+                    shared.verify_digest(key.public, digest, signature)
+                    for key, row in zip(keys, signed)
+                    for digest, signature in zip(digests, row)
+                )
+                results[worker] = (signed, verified)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,), daemon=True) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 8
+        for signed, verified in results.values():
+            assert signed == expected
+            assert verified
+
+    @requires_openssl
+    def test_dropping_the_caches_frees_the_kernels(self, monkeypatch, rsa_keypair):
+        released = []
+        release = modexp._release
+
+        def spy(frees):
+            released.append(len(frees))
+            release(frees)
+
+        monkeypatch.setattr(modexp, "_release", spy)
+        scheme = RSAScheme()
+        digest = secure_hash(b"finalizer")
+        signature = scheme.sign_digest(rsa_keypair.private, digest)
+        assert scheme.verify_digest(rsa_keypair.public, digest, signature)
+        scheme.sign_digest(rsa_keypair.private, digest)
+        assert released == []
+        del scheme
+        gc.collect()
+        # Two CRT halves and one public kernel, three OpenSSL objects each.
+        assert released == [3, 3, 3]
+
+
+class TestKeyMaterialCaches:
+    def test_keys_sharing_a_key_id_sign_with_their_own_material(
+        self, rsa_keypair, second_rsa_keypair
+    ):
+        first = rsa_keypair
+        declared = first.private.key_id
+        # Another key's material carrying the first key's declared id, as
+        # ``from_dict`` accepts it.
+        impostor_private = PrivateKey.from_dict(
+            {**second_rsa_keypair.private.to_dict(), "key_id": declared}
+        )
+        impostor_public = PublicKey.from_dict(
+            {**second_rsa_keypair.public.to_dict(), "key_id": declared}
+        )
+        scheme = RSAScheme()
+        for index in range(3):
+            digest = secure_hash(b"interleaved-%d" % index)
+            own = scheme.sign_digest(first.private, digest)
+            other = scheme.sign_digest(impostor_private, digest)
+            assert own != other
+            assert scheme.verify_digest(first.public, digest, own)
+            assert not scheme.verify_digest(first.public, digest, other)
+            assert scheme.verify_digest(impostor_public, digest, other)
+            assert not scheme.verify_digest(impostor_public, digest, own)
 
 
 class TestDSA:

@@ -14,6 +14,7 @@ from repro import codec
 from repro.core.evidence import EvidenceBuilder, EvidenceVerifier, TokenType, payload_digest
 from repro.core.messages import B2BProtocolMessage
 from repro.crypto.keys import PrivateKey
+from repro.crypto.rsa import RSAScheme
 from repro.crypto.signature import (
     Signer,
     clear_verification_cache,
@@ -289,7 +290,9 @@ class TestVerificationMemoKeyBinding:
 
 class TestCrtSigning:
     def test_crt_signature_matches_direct_exponentiation(self, keypair):
-        scheme = get_scheme("rsa")
+        # One scheme per path: a scheme caches one exponentiation per (n, d),
+        # so a shared one would serve the stripped key the CRT kernels.
+        scheme = RSAScheme()
         digest = b"\xab" * 32
         with_crt = scheme.sign_digest(keypair.private, digest)
         stripped = PrivateKey(
@@ -301,7 +304,7 @@ class TestCrtSigning:
             },
             key_id=keypair.private.key_id,
         )
-        without_crt = scheme.sign_digest(stripped, digest)
+        without_crt = RSAScheme().sign_digest(stripped, digest)
         assert with_crt == without_crt
         assert scheme.verify_digest(keypair.public, digest, with_crt)
 

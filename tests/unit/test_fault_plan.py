@@ -2,8 +2,9 @@
 
 Covers rule/plan validation, the JSON schedule round trip, seeded
 determinism, the bounded-consecutive-loss guarantee, partition windows,
-``max_shots`` budgets, legacy :class:`FaultModel` bridging and the
-hit-count semantics of crash failpoints.
+``max_shots`` budgets, legacy :class:`FaultModel` bridging, the
+hit-count semantics of crash failpoints, and that a simulated network with
+nothing that can fire never consults the injector.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.faults import (
     FaultRule,
     VERB_CLOSE,
 )
-from repro.transport.network import FaultModel
+from repro.transport.network import FaultModel, SimulatedNetwork
 
 
 class TestFaultRuleValidation:
@@ -211,6 +212,42 @@ class TestFaultModelBridge:
     def test_from_fault_model_omits_disabled_behaviours(self):
         plan = FaultPlan.from_fault_model(FaultModel(drop_probability=0.5))
         assert [rule.fault for rule in plan.rules] == ["drop"]
+
+
+class TestNetworkConsultsTheInjectorOnlyWhenSomethingCanFire:
+    @staticmethod
+    def _send_three(network):
+        network.register("urn:b", lambda message: "ok")
+        for _ in range(3):
+            network.send("urn:a", "urn:b", "op", {"x": 1})
+
+    def _count_decisions(self, monkeypatch, network):
+        decisions = []
+        decide = FaultInjector.decide
+
+        def counting(self, *args):
+            decisions.append(args)
+            return decide(self, *args)
+
+        monkeypatch.setattr(FaultInjector, "decide", counting)
+        self._send_three(network)
+        return len(decisions)
+
+    def test_no_plan_and_an_all_zero_model_decide_nothing(self, monkeypatch):
+        for network in (
+            SimulatedNetwork(),
+            SimulatedNetwork(fault_model=FaultModel(seed=b"s", max_consecutive_drops=2)),
+        ):
+            assert self._count_decisions(monkeypatch, network) == 0
+            assert network.statistics.messages_delivered == 3
+
+    def test_a_model_that_can_fire_and_any_plan_still_decide(self, monkeypatch):
+        for network in (
+            SimulatedNetwork(fault_model=FaultModel(latency_seconds=0.01)),
+            SimulatedNetwork(fault_model=FaultModel(duplicate_probability=0.5, seed=b"d")),
+            SimulatedNetwork(fault_plan=FaultPlan(rules=())),
+        ):
+            assert self._count_decisions(monkeypatch, network) == 3
 
 
 class TestCrashFailpoints:
