@@ -149,9 +149,9 @@ On top of the encode-once substrate, the protocol engine runs concurrently:
 * **Batched verification** -- ``EvidenceVerifier.verify_all`` checks an
   evidence-token set in order on the calling thread (one ``require_valid``
   per token, verification errors reported per slot, anything else raised),
-  used by dispute resolution and by ``handle_outcome`` for the decision
-  evidence forwarded with a sharing outcome.  It takes no worker: a set is
-  a few tokens and a verification tens of microseconds or a memo hit.
+  used by dispute resolution and to keep the verifiable evidence of an
+  outcome a replica does not apply.  It takes no worker: a set is a few
+  tokens and a verification tens of microseconds or a memo hit.
   ``DisputeResolver.adjudicate_from_store`` revives only the stored records
   that can bear on a claim and verifies every one of those.
 
@@ -265,18 +265,27 @@ restarted proposer has no memory the run ever existed.
   A run journaled as ``committed`` may already be applied at peers, so
   recovery *resumes* it: the outcome wave is re-dispatched verbatim (the
   journaled message ids make re-delivery deduplicate at peers that already
-  processed it) and the local apply re-driven, version-guarded so a double
-  recovery never re-applies.  Both paths settle the journal, making
+  processed it) and the local apply re-driven from the ``proposed``
+  record's proposal, proven and version-guarded so a double recovery never
+  re-applies.  Both paths settle the journal, making
   ``recover_runs()`` idempotent.  Restarted processes must present the same
   key their peers pinned (``keypair_factory``); the journaled evidence was
   signed with it.
 
-* **Orphan expiry** -- responders arm a proposal-age timer
-  (``orphan_run_timeout`` seconds, riding the ``RetryScheduler`` with an
-  ``orphan:{party}:{run_id}`` tag) when they return a decision; an outcome
-  or abort notice cancels it, and expiry garbage-collects the orphaned
-  responder run state -- no divergent replica state, no leaked timers --
-  covering proposers that die and never recover.
+* **Reservations and the agreement proof** -- proposing or accepting a
+  proposal *reserves* the object (a competing one is refused ``busy``)
+  and keeps the proposal until the run's outcome, abort notice (sent by a
+  run ending before its commit barrier) or expiry.  A responder applies
+  the proposal it kept only when ``repro.core.agreement.agreement_proof``
+  holds -- the outcome wave carries no proposal.  A failing outcome is
+  kept as evidence, audited ``outcome-rejected``; an agreed one with no
+  reservation (a restart) is audited ``outcome-unheld`` and left to resync.
+
+* **Orphan expiry** -- a reservation older than ``orphan_run_timeout``
+  (default ``DEFAULT_ORPHAN_RUN_TIMEOUT``) is released by the next
+  competing proposal.  Setting it also arms a per-decision proposal-age
+  timer (``orphan:{party}:{run_id}``) that an outcome or abort notice
+  cancels and whose expiry garbage-collects the responder run state.
 
 * **Crash-atomic storage** -- ``FileBackend`` writes records to a temp
   file, fsyncs and renames; the index entry is the commit point of a put.
@@ -312,9 +321,10 @@ others cannot see.  All are opt-in through ``DurabilityConfig`` /
   the object advances past the run's version (then the task retires,
   audited ``outcome-redelivery-superseded``, without re-sending).  Peers
   absorb late waves idempotently: evidence is stored unconditionally, the
-  apply is version-guarded, and the original message ids deduplicate
-  re-sends at peers that already processed the wave.  Observable via
-  ``pending_redeliveries()`` and ``outcome-redelivery-*`` audit records.
+  apply is version-guarded and proven against the peer's reservation, and
+  the original message ids deduplicate re-sends at peers that already
+  processed the wave.  Observable via ``pending_redeliveries()`` and
+  ``outcome-redelivery-*`` audit records.
 
 * **Durable object state + restart-time resync** (``durable_state=True``,
   ``resync_on_connect=True``) heal the *restarted replica*: every committed
@@ -327,8 +337,10 @@ others cannot see.  All are opt-in through ``DurabilityConfig`` /
   ``(version, digest)`` vectors over the wire's ``@system`` channel
   (``WireTransport.resync_with`` / ``resync_with_peers``, automatic after
   ``introduce_to``/``exchange`` when ``resync_on_connect`` is set), and the
-  stale side fetches the missing signed outcome + decision evidence,
-  verifying signatures and applying version-guarded (the same path is
+  stale side fetches the missing signed outcome + decision evidence with
+  the proposal, applying version-guarded once the agreement proof holds
+  for the current members -- how an ``outcome-unheld`` replica catches up
+  (the same path is
   drivable in-process through ``resync_vector`` / ``resync_records`` /
   ``apply_resync_record`` on the controller; same-version digest mismatches
   audit ``resync-divergence``).

@@ -44,7 +44,7 @@ import json
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional
 
 from repro.crypto.hashing import secure_hash
 from repro.errors import ReproError

@@ -83,6 +83,9 @@ class DurabilityConfig:
     styles are mutually exclusive.  ``durable_runs`` turns on the
     write-ahead run journal (under a profile, the journal rides the same
     storage); ``orphan_run_timeout`` arms responder-side proposal-age GC.
+    Its default, ``None``, arms no timer: an object reservation older than
+    ``repro.core.sharing.DEFAULT_ORPHAN_RUN_TIMEOUT`` is then released by
+    the next competing proposal, and a number sets that age as well.
 
     The self-healing knobs: ``durable_state`` persists each replica's
     agreed ``(version, state-digest)`` history through its

@@ -18,7 +18,12 @@ component-based realisation of Section 4.3 (Figure 8):
      consistent, verifiable view of the agreed state;
 
 * the update is applied everywhere if and only if agreement was unanimous;
-  otherwise every replica stays in the state prior to the proposal;
+  otherwise every replica stays in the state prior to the proposal.  A
+  responder that accepts *reserves* the object for the run (one run per
+  object: a competing proposal is refused ``busy``) and keeps the proposal
+  it accepted; it applies that copy only when the outcome passes
+  :func:`~repro.core.agreement.agreement_proof`, so the outcome wave does
+  not carry the proposal;
 * non-repudiable *connect* and *disconnect* protocols govern changes to the
   membership of the sharing group.
 
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -71,6 +76,7 @@ from repro.container.interceptor import (
     InvocationResult,
     NextInterceptor,
 )
+from repro.core.agreement import agreement_proof, decision_payload
 from repro.core.coordinator import B2BCoordinator
 from repro.core.evidence import EvidenceToken, TokenType, payload_digest
 from repro.core.messages import B2BProtocolMessage
@@ -119,6 +125,12 @@ ACTION_ABORT = "abort"
 REDELIVERY_BASE_DELAY = 0.25
 REDELIVERY_MAX_DELAY = 5.0
 
+#: Age (seconds) past which a competing proposal may release a reservation
+#: when no ``orphan_run_timeout`` is configured.  It exceeds a round's
+#: worst-case retry budget on the wire: two phases of 10 attempts, each up
+#: to a 30 s request timeout plus a 2 s backoff.
+DEFAULT_ORPHAN_RUN_TIMEOUT = 900.0
+
 #: Responder-side span names keyed by the action that triggered the handler.
 _HANDLE_SPAN_NAMES = {
     ACTION_PROPOSE: "handle:proposal",
@@ -154,9 +166,10 @@ def _span_scope(span):
 class RunAbortNotice:
     """Wire-level notification that a coordination run died before commit.
 
-    Sent by a recovering proposer for every journaled run that never passed
-    the commit barrier, so peers learn the run is dead instead of holding
-    its responder state until their orphan expiry fires.  Registered for
+    Sent by a proposer whose run aborted, expired or failed before the
+    commit barrier, and by a recovering proposer for every such journaled
+    run, so peers release the run's reservation instead of holding it until
+    their orphan expiry fires.  Registered for
     wire revival through the :func:`~repro.transport.wire.wire_type`
     decorator, so it crosses process boundaries without per-deployment
     registration.
@@ -168,12 +181,7 @@ class RunAbortNotice:
     reason: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "object_id": self.object_id,
-            "proposer": self.proposer,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "RunAbortNotice":
@@ -297,6 +305,16 @@ class _CoordinationRun:
         #: re-delivery task resend exactly these messages, so peers dedup on
         #: the original message ids no matter which path reaches them first.
         self._outcome_wave: List[B2BProtocolMessage] = []
+        # Protocol state of both run kinds, published by the phase hooks.
+        self._proposal: Any = None
+        self._nro_update: Optional[EvidenceToken] = None
+        self._peers: List[str] = []
+        self._decisions: Dict[str, ValidationDecision] = {}
+        self._decision_tokens: Dict[str, EvidenceToken] = {}
+        self._reason = ""
+        self._agreed = False
+        self._degraded = False
+        self._nr_outcome: Optional[EvidenceToken] = None
         self._journal: Optional[RunJournal] = self._services.run_journal
         # Root span for the whole coordination round: the run id *is* the
         # trace id, so every message stamped inside an activation below (and
@@ -340,7 +358,117 @@ class _CoordinationRun:
 
     def _aborted_outcome(self, reason: str) -> SharingOutcome:
         """Audit the abort and build the not-agreed outcome it resolves to."""
-        raise NotImplementedError
+        details, new_version = self._abort_context()
+        self._services.audit_log.append(
+            category=AUDIT_CATEGORY_SHARING,
+            subject=self.run_id,
+            details={"event": f"{self._journal_kind}-aborted", "object_id": self.object_id,
+                     **details, "reason": reason},
+        )
+        nro = self._nro_update
+        return SharingOutcome(
+            run_id=self.run_id,
+            object_id=self.object_id,
+            agreed=False,
+            new_version=new_version,
+            proposer=self._controller.party,
+            decisions=dict(self._decisions),
+            evidence={} if nro is None else {nro.token_type: nro},
+            reason=reason,
+        )
+
+    def _abort_context(self) -> tuple:
+        """The run kind's abort audit details, and the version it leaves."""
+        return {}, None
+
+    # -- phase steps both run kinds share --------------------------------------------
+
+    def _proposal_wave(self, token_type: TokenType, action: str) -> List[B2BProtocolMessage]:
+        """Sign and store the proposal's origin evidence; one request per peer.
+
+        The shared proposal body is encoded exactly once for the fan-out.
+        """
+        services = self._services
+        self._nro_update = services.evidence_builder.build(
+            token_type=token_type,
+            run_id=self.run_id,
+            step=1,
+            recipient=self.object_id,
+            payload=self._proposal,
+        )
+        services.evidence_store.store(
+            run_id=self.run_id,
+            token_type=self._nro_update.token_type,
+            token=self._nro_update,
+            role=services.evidence_store.ROLE_GENERATED,
+        )
+        return [
+            B2BProtocolMessage(
+                run_id=self.run_id,
+                protocol=NR_SHARING_PROTOCOL,
+                step=1,
+                sender=self._controller.party,
+                recipient=peer,
+                payload=self._proposal,
+                tokens=[self._nro_update],
+                attributes={"action": action},
+                reply_to=self._coordinator.address,
+            )
+            for peer in self._peers
+        ]
+
+    def _collect_decisions(self, results: List) -> None:
+        """Verify each peer's signed decision; an unreachable peer refuses.
+
+        Built locally and published by (atomic) reference assignment: a
+        concurrent abort snapshots either no decisions or all of them, never
+        a dict mid-mutation.  ``_reason`` becomes the first refusal's.
+        """
+        decisions: Dict[str, ValidationDecision] = {}
+        tokens: Dict[str, EvidenceToken] = {}
+        reason = ""
+        for peer, (response, error) in zip(self._peers, results):
+            if error is not None:
+                token = None
+                decision = ValidationDecision(
+                    accepted=False, reason=f"peer unreachable: {error}", validator="coordinator"
+                )
+                reason = reason or f"peer {peer} unreachable"
+            else:
+                decision, token = self._controller._verify_decision(  # noqa: SLF001
+                    self.run_id, peer, self._proposal, response
+                )
+                reason = reason or ("" if decision.accepted else decision.reason)
+            decisions[peer] = decision
+            if token is not None:
+                tokens[peer] = token
+        self._decisions, self._decision_tokens, self._reason = decisions, tokens, reason
+        self._agreed = all(decision.accepted for decision in decisions.values())
+
+    def _degrade(self, results: List) -> bool:
+        """Skip the outcome wave when *every* peer was unreachable in phase 1.
+
+        An exhausted partition window or a severed network: the wave could
+        only burn the same retry budgets again.  The run resolves not-agreed
+        with an audited reason -- the proposer's waiter settles instead of
+        stranding on hopeless retries -- and the built wave stays stashed
+        for journal recovery and the scheduler-driven re-delivery task.
+        """
+        if not self._peers or any(error is None for _response, error in results):
+            return False
+        self._degraded = True
+        self._services.audit_log.append(
+            category=AUDIT_CATEGORY_SHARING,
+            subject=self.run_id,
+            details={
+                "event": "run-degraded",
+                "object_id": self.object_id,
+                "reason": "all peers unreachable; suspected partition",
+                "peers": list(self._peers),
+                "outcome_wave_skipped": True,
+            },
+        )
+        return True
 
     def _commit_outcome(self, outcome_messages: List[B2BProtocolMessage]):
         """Mark the run committed and dispatch the outcome fan-out.
@@ -407,6 +535,8 @@ class _CoordinationRun:
         evidence and the proposed edge are durable together, the edge last.
         """
         messages = self._phase1_messages()
+        if messages is None:  # the object is reserved by another run
+            return None
         self._journal_proposed(messages)
         self._inject_fault("after-journal-proposed")
         return self._register_fan_out(
@@ -466,7 +596,13 @@ class _CoordinationRun:
         marks it as needing no recovery, and writing it commits the step's
         tail (the local apply, its audit record) in the same transaction.
         Only then can a waiter, possibly on another thread, see the result.
+        A run that ends before the commit barrier first notifies its peers;
+        past it, a failed run keeps its reservation for ``recover_runs()``.
         """
+        if not self._committed:
+            self._notify_abort(outcome.reason if error is None else f"run failed: {error}")
+        if error is None or not self._committed:
+            self._controller._release_reservation(self.object_id, self.run_id)  # noqa: SLF001
         if self._journal is not None:
             self._journal_settled(outcome, error)
         storage.commit()
@@ -564,8 +700,12 @@ class _CoordinationRun:
                 decision_fan_out = self._phase1_fan_out()
             except Exception:
                 self._cancel_deadline()
+                self._controller._release_reservation(self.object_id, self.run_id)  # noqa: SLF001
                 raise
-            self._chain(decision_fan_out, self._after_phase1)
+            if decision_fan_out is None:  # refused locally; no peer saw it
+                self._settle(lambda: self.future.complete(self._aborted_outcome(self._reason)))
+            else:
+                self._chain(decision_fan_out, self._after_phase1)
         return self.future
 
     def _chain(self, fan_out, continuation: Callable[[Any], None]) -> None:
@@ -681,11 +821,46 @@ class _CoordinationRun:
             resolve()
         except Exception as error:  # noqa: BLE001 - last line of defence
             self.future.fail(error)
+        finally:
+            # A settled future can no longer abort; dropping the back
+            # reference frees the run without the cyclic collector.
+            self.future._machine = None
+
+    def _reserved(self, base_version: Optional[int] = None) -> bool:
+        """Hold the object for this run; a refused run signs and sends nothing."""
+        self._reason = self._controller._reserve(  # noqa: SLF001
+            self.object_id, self.run_id, self._controller.party, self._proposal,
+            self._proposal.digest, base_version,
+        ) or ""
+        return not self._reason
+
+    def _notify_abort(self, reason: str) -> None:
+        """Best-effort abort notice (no retries) to each peer that may have accepted."""
+        tokens, decisions = self._decision_tokens, self._decisions
+        peers = [p for p in self._peers if p not in tokens or decisions[p].accepted]
+        if peers:
+            notices = self._controller._abort_notices(  # noqa: SLF001
+                self.run_id, self.object_id, peers, reason
+            )
+            self._coordinator.send_all_async(notices).cancel()
+            self._scheduler.cancel_run(self.run_id)
 
     def _cancel_deadline(self) -> None:
         handle, self._deadline_handle = self._deadline_handle, None
         if handle is not None:
             handle.cancel()
+
+
+@dataclass
+class _Reservation:
+    """A replica's record that it accepted ``run_id``'s proposal (at its version)."""
+
+    run_id: str
+    proposer: str
+    proposal: Any
+    proposal_digest: bytes
+    members: List[str]  # the sharing group the proposal was accepted in
+    reserved_at: float
 
 
 @dataclass
@@ -706,6 +881,7 @@ class _SharedObject:
     bound_instance: Any = None
     rollup_depth: int = 0
     rollup_base_state: Any = None
+    reservation: Optional[_Reservation] = None
 
     def state_copy(self) -> Any:
         """A defensive plain copy of the state, decoded from canonical bytes."""
@@ -745,7 +921,11 @@ class B2BObjectController:
         #: outcome has not arrived within this window is treated as orphaned
         #: -- its proposer died or partitioned away -- and its responder
         #: state is garbage-collected.  ``None`` disables the expiry clock.
+        #: Either way a reservation older than this (or than
+        #: ``DEFAULT_ORPHAN_RUN_TIMEOUT``) is released by the next competing
+        #: proposal, so a vanished proposer cannot hold an object forever.
         self.orphan_run_timeout = orphan_run_timeout
+        self._reservation_timeout = orphan_run_timeout or DEFAULT_ORPHAN_RUN_TIMEOUT
         self._orphan_timers: Dict[str, TimerHandle] = {}
         # Run ids whose (late) outcome is being applied right now: an orphan
         # expiry that fires mid-apply must cancel cleanly instead of
@@ -890,6 +1070,63 @@ class B2BObjectController:
     def peers(self, object_id: str) -> List[str]:
         return sorted(self.membership.peers_of(object_id, self.party))
 
+    # -- reservations: at most one pending run per object ------------------------------
+
+    def _reserve(
+        self,
+        object_id: str,
+        run_id: str,
+        proposer: str,
+        proposal: Any,
+        proposal_digest: bytes,
+        base_version: Optional[int] = None,
+    ) -> Optional[str]:
+        """Reserve ``object_id`` for ``run_id``; returns why not, or ``None``.
+
+        Refused while another run holds the object (``busy: <run>``) or when
+        ``base_version`` is no longer the replica's version.  A reservation
+        older than the orphan timeout is released first, audited
+        ``orphan-run-expired``: its proposer vanished without an outcome.
+        """
+        now = self._coordinator.network.clock.now()
+        expired = refusal = None
+        with self._lock:
+            shared = self._objects.get(object_id)
+            if shared is None:
+                return f"{self.party} does not share {object_id}"
+            held = shared.reservation
+            if held is not None and held.run_id != run_id:
+                if now - held.reserved_at <= self._reservation_timeout:
+                    return f"busy: {held.run_id}"
+                expired, shared.reservation = held, None
+            if base_version is not None and base_version != shared.version:
+                refusal = f"stale base version {base_version} (current is {shared.version})"
+            else:
+                members = self.membership.member_uris(object_id)
+                shared.reservation = _Reservation(
+                    run_id, proposer, proposal, proposal_digest, members, now
+                )
+        if expired is not None:
+            self._coordinator.services.audit_log.append(
+                category=AUDIT_CATEGORY_SHARING,
+                subject=expired.run_id,
+                details={"event": "orphan-run-expired", "object_id": object_id,
+                         "proposer": expired.proposer, "timeout": self._reservation_timeout},
+            )
+        return refusal
+
+    def _release_reservation(
+        self, object_id: str, run_id: str, proposer: Optional[str] = None
+    ) -> Optional[_Reservation]:
+        """Drop ``run_id``'s reservation (only if ``proposer`` holds it, when given)."""
+        with self._lock:
+            shared = self._objects.get(object_id)
+            held = shared.reservation if shared is not None else None
+            if held is None or held.run_id != run_id or proposer not in (None, held.proposer):
+                return None
+            shared.reservation = None
+            return held
+
     # -- proposing updates -------------------------------------------------------------
 
     def propose_update(self, object_id: str, new_state: Any) -> SharingOutcome:
@@ -960,43 +1197,26 @@ class B2BObjectController:
         response: B2BProtocolMessage,
     ) -> tuple:
         """Verify a peer's decision message; invalid evidence counts as a veto."""
-        services = self._coordinator.services
-        decision_payload = response.payload or {}
+        payload = response.payload or {}
         token = response.token_of_type(TokenType.NR_DECISION.value)
         if token is None:
-            return (
-                ValidationDecision(
-                    accepted=False,
-                    reason="peer returned no decision evidence",
-                    validator="coordinator",
-                ),
-                None,
-            )
-        try:
-            services.evidence_verifier.require_valid(
-                token,
-                expected_type=TokenType.NR_DECISION,
-                expected_run_id=run_id,
-                expected_payload=decision_payload,
-                expected_issuer=peer,
-            )
-        except EvidenceVerificationError as error:
-            return (
-                ValidationDecision(
-                    accepted=False,
-                    reason=f"decision evidence invalid: {error}",
-                    validator="coordinator",
-                ),
-                None,
-            )
-        return (
-            ValidationDecision(
-                accepted=bool(decision_payload.get("accepted", False)),
-                reason=decision_payload.get("reason", ""),
-                validator=decision_payload.get("validator", peer),
-            ),
-            token,
-        )
+            reason = "peer returned no decision evidence"
+        else:
+            try:
+                self._coordinator.services.evidence_verifier.require_valid(
+                    token,
+                    expected_type=TokenType.NR_DECISION,
+                    expected_run_id=run_id,
+                    expected_payload=payload,
+                    expected_issuer=peer,
+                )
+            except EvidenceVerificationError as error:
+                reason = f"decision evidence invalid: {error}"
+            else:
+                accepted = bool(payload.get("accepted", False))
+                reason, validator = payload.get("reason", ""), payload.get("validator", peer)
+                return ValidationDecision(accepted, reason, validator), token
+        return ValidationDecision(accepted=False, reason=reason, validator="coordinator"), None
 
     # -- applying agreed updates ----------------------------------------------------------
 
@@ -1012,6 +1232,8 @@ class B2BObjectController:
         with self._lock:
             shared.state = agreed_state
             shared.version = new_version
+            # Whatever run still held the object proposed at an older base.
+            shared.reservation = None
             if shared.bound_instance is not None:
                 shared.bound_instance.set_state(shared.state_copy())
         # Snapshot, history entry and durable outcome record: one write.
@@ -1235,9 +1457,11 @@ class B2BObjectController:
         ]
         errors = self._coordinator.send_all(messages) if messages else []
         apply = dict(committed.get("apply") or {})
-        object_id = proposed.get("object_id") or dict(
-            attributes.get("proposal") or {}
-        ).get("object_id", "")
+        object_id = proposed.get("object_id", "")
+        # The proposal is journaled once, with the intent: the wave does not
+        # carry it.  The apply is version-guarded like handle_outcome: a
+        # crash after the local apply (or a double recovery) never re-applies.
+        proposal, new_version = proposed.get("proposal"), apply.get("new_version")
         applied = False
         if apply.get("agreed"):
             if "action" in apply:  # membership runs apply idempotently
@@ -1245,33 +1469,22 @@ class B2BObjectController:
                     object_id, apply["action"], apply["member"]
                 )
                 applied = True
-            elif self.is_shared(object_id):
-                proposal = dict(attributes.get("proposal") or {})
-                new_version = apply.get("new_version")
-                proposed_state = proposal.get("proposed_state")
-                # Version-guarded like handle_outcome: a crash after the
-                # local apply (or a double recovery) must not re-apply.
-                if (
-                    proposed_state is not None
-                    and new_version == self._shared(object_id).version + 1
-                ):
-                    outcome_record = self._build_outcome_record(
-                        run_id=run_id,
-                        proposer=self.party,
-                        object_id=object_id,
-                        new_version=new_version,
-                        outcome_payload=committed.get("payload"),
-                        proposal=proposal,
-                        nr_outcome=nr_outcome,
-                        decision_tokens=decision_tokens,
-                    )
-                    self._apply_update(
-                        object_id,
-                        proposed_state,
-                        new_version,
-                        outcome_record=outcome_record,
-                    )
-                    applied = True
+            elif (
+                proposal
+                and self.is_shared(object_id)
+                and new_version == self.get_version(object_id) + 1
+                and self._proof_holds(
+                    run_id, object_id, committed.get("payload"), nr_outcome, decision_tokens,
+                    payload_digest(proposal), self.members(object_id), self.party,
+                )
+            ):
+                record = self._build_outcome_record(
+                    run_id, self.party, object_id, new_version, committed.get("payload"),
+                    proposal, nr_outcome, decision_tokens,
+                )
+                self._apply_update(object_id, proposal["proposed_state"], new_version, record)
+                applied = True
+        self._release_reservation(object_id, run_id)
         services.audit_log.append(
             category=AUDIT_CATEGORY_SHARING,
             subject=run_id,
@@ -1298,28 +1511,11 @@ class B2BObjectController:
         run_id = record.run_id
         object_id = proposed.get("object_id", "")
         reason = "recovered after crash: aborted before commit"
-        notice = RunAbortNotice(
-            run_id=run_id,
-            object_id=object_id,
-            proposer=self.party,
-            reason=reason,
-        )
         peers = list(proposed.get("peers") or [])
-        messages = [
-            B2BProtocolMessage(
-                run_id=run_id,
-                protocol=NR_SHARING_PROTOCOL,
-                step=3,
-                sender=self.party,
-                recipient=peer,
-                payload=notice,
-                attributes={"action": ACTION_ABORT},
-                reply_to=self._coordinator.address,
-            )
-            for peer in peers
-        ]
+        self._release_reservation(object_id, run_id)
         # Best-effort: an unreachable peer's own orphan expiry is the backstop.
-        errors = self._coordinator.send_all(messages) if messages else []
+        notices = self._abort_notices(run_id, object_id, peers, reason)
+        errors = self._coordinator.send_all(notices) if notices else []
         self._coordinator.services.audit_log.append(
             category=AUDIT_CATEGORY_SHARING,
             subject=run_id,
@@ -1337,8 +1533,28 @@ class B2BObjectController:
         )
         self.run_journal.record_settled(run_id, agreed=False, reason=reason)
 
+    def _abort_notices(
+        self, run_id: str, object_id: str, peers: List[str], reason: str
+    ) -> List[B2BProtocolMessage]:
+        notice = RunAbortNotice(
+            run_id=run_id, object_id=object_id, proposer=self.party, reason=reason
+        )
+        return [
+            B2BProtocolMessage(
+                run_id=run_id,
+                protocol=NR_SHARING_PROTOCOL,
+                step=3,
+                sender=self.party,
+                recipient=peer,
+                payload=notice,
+                attributes={"action": ACTION_ABORT},
+                reply_to=self._coordinator.address,
+            )
+            for peer in peers
+        ]
+
     def handle_abort(self, message: B2BProtocolMessage) -> None:
-        """GC responder state for a run its proposer recovered-aborted."""
+        """Release a run its proposer aborted before the commit barrier."""
         payload = message.payload
         notice = (
             payload
@@ -1359,6 +1575,7 @@ class B2BObjectController:
             )
             return
         self._clear_orphan_watch(message.run_id)
+        self._release_reservation(notice.object_id, message.run_id, message.sender)
         if run is not None and not run.finished:
             run.abort()
         self._coordinator.services.audit_log.append(
@@ -1692,8 +1909,9 @@ class B2BObjectController:
         """Apply one signature-checked catch-up record from a fresher peer.
 
         Exactly the live :meth:`handle_outcome` discipline, replayed from a
-        peer's durable store: the proposer's ``NR_OUTCOME`` must verify
-        against the record's outcome payload, the apply is version-guarded
+        peer's durable store: the record's outcome must pass
+        :func:`~repro.core.agreement.agreement_proof` for the proposal it
+        carries and the current members, the apply is version-guarded
         (``new_version == version + 1``), evidence lands with the same roles
         a live wave would produce, and the record is re-persisted so a
         transitively-stale third peer can pull it from here later.  Returns
@@ -1705,31 +1923,24 @@ class B2BObjectController:
         run_id = str(record.get("run_id") or "")
         proposer = record.get("proposer")
         new_version = record.get("new_version")
-        outcome_payload = record.get("outcome")
-        proposal = dict(record.get("proposal") or {})
-        proposed_state = proposal.get("proposed_state")
-        if (
-            not run_id
-            or outcome_payload is None
-            or proposed_state is None
-            or new_version is None
-        ):
+        proposal = record.get("proposal")
+        if not run_id or not proposal or new_version is None:
             return False
         if new_version != self._shared(object_id).version + 1:
             return False
         services = self._coordinator.services
         # Stored records splice each token's canonical text, so decoding one
         # has already revived the tokens' details (EvidenceToken.from_stored).
-        nr_outcome = EvidenceToken.from_dict(
-            dict(record.get("nr_outcome") or {}), revived=True
+        nr_outcome, *decisions = (
+            EvidenceToken.from_dict(dict(token or {}), revived=True)
+            for token in [record.get("nr_outcome")] + list(record.get("decisions") or [])
         )
-        services.evidence_verifier.require_valid(
-            nr_outcome,
-            expected_type=TokenType.NR_OUTCOME,
-            expected_run_id=run_id,
-            expected_payload=outcome_payload,
-            expected_issuer=proposer,
-        )
+        members = self.members(object_id)
+        if not self._proof_holds(
+            run_id, object_id, record.get("outcome"), nr_outcome, decisions,
+            payload_digest(proposal), members, proposer,
+        ):
+            return False
         # The resync apply joins the original run's trace (trace id == run
         # id) as a second root: the proposer's tree ended long ago in
         # another process, so there is no parent to attach to.
@@ -1755,36 +1966,9 @@ class B2BObjectController:
                     # once.
                     if new_version != self._shared(object_id).version + 1:
                         return False
-                    services.evidence_store.store(
-                        run_id=run_id,
-                        token_type=nr_outcome.token_type,
-                        token=nr_outcome,
-                        role=services.evidence_store.ROLE_RECEIVED,
-                    )
-                    for token_dict in record.get("decisions") or []:
-                        token = EvidenceToken.from_dict(
-                            dict(token_dict), revived=True
-                        )
-                        try:
-                            services.evidence_verifier.require_valid(
-                                token,
-                                expected_type=TokenType.NR_DECISION,
-                                expected_run_id=run_id,
-                            )
-                        except EvidenceVerificationError:
-                            continue
-                        services.evidence_store.store(
-                            run_id=run_id,
-                            token_type=token.token_type,
-                            token=token,
-                            role=services.evidence_store.ROLE_RECEIVED,
-                        )
-                    self._apply_update(
-                        object_id,
-                        proposed_state,
-                        new_version,
-                        outcome_record=record,
-                    )
+                    kept = [t for t in decisions if t.issuer != proposer and t.issuer in members]
+                    self._store_received(run_id, [nr_outcome] + kept)
+                    self._apply_update(object_id, proposal["proposed_state"], new_version, record)
                 services.audit_log.append(
                     category=AUDIT_CATEGORY_SHARING,
                     subject=run_id,
@@ -1831,6 +2015,7 @@ class B2BObjectController:
         proposal = message.payload
         object_id = proposal["object_id"]
         nro_update = message.require_token(TokenType.NRO_UPDATE.value)
+        digest = payload_digest(proposal)
 
         decision: ValidationDecision
         try:
@@ -1838,7 +2023,7 @@ class B2BObjectController:
                 nro_update,
                 expected_type=TokenType.NRO_UPDATE,
                 expected_run_id=message.run_id,
-                expected_payload=proposal,
+                expected_payload=digest,
                 expected_issuer=message.sender,
             )
         except EvidenceVerificationError as error:
@@ -1853,29 +2038,23 @@ class B2BObjectController:
                 role=services.evidence_store.ROLE_RECEIVED,
             )
             decision = self._validate_proposal(message.sender, proposal)
+            if decision.accepted:
+                # Validators ran unlocked; only one accepting run per object
+                # wins the reservation, at a base that is still current.
+                refusal = self._reserve(
+                    object_id, message.run_id, message.sender, proposal, digest,
+                    base_version=proposal.get("base_version"),
+                )
+                if refusal is not None:
+                    decision = ValidationDecision(
+                        accepted=False, reason=refusal, validator="controller"
+                    )
 
-        decision_payload = codec.canonicalize(
-            {
-                "object_id": object_id,
-                "run_id": message.run_id,
-                "accepted": decision.accepted,
-                "reason": decision.reason,
-                "validator": decision.validator,
-                "responder": self.party,
-                "proposal_digest": payload_digest(proposal).hex(),
-            }
-        )
-        nr_decision = services.evidence_builder.build(
-            token_type=TokenType.NR_DECISION,
-            run_id=message.run_id,
-            step=2,
-            recipient=message.sender,
-            payload=decision_payload,
-        )
+        response = self._decision_message(message, decision, digest, "decision")
         services.evidence_store.store(
             run_id=message.run_id,
-            token_type=nr_decision.token_type,
-            token=nr_decision,
+            token_type=TokenType.NR_DECISION.value,
+            token=response.tokens[0],
             role=services.evidence_store.ROLE_GENERATED,
         )
         services.audit_log.append(
@@ -1889,15 +2068,36 @@ class B2BObjectController:
                 "reason": decision.reason,
             },
         )
+        return response
+
+    def _decision_message(
+        self,
+        message: B2BProtocolMessage,
+        decision: ValidationDecision,
+        proposal_digest: bytes,
+        action: str,
+    ) -> B2BProtocolMessage:
+        """Sign ``decision`` on the proposal ``message`` carried; the reply."""
+        payload = decision_payload(
+            message.payload["object_id"], message.run_id, self.party, decision,
+            proposal_digest,
+        )
+        nr_decision = self._coordinator.services.evidence_builder.build(
+            token_type=TokenType.NR_DECISION,
+            run_id=message.run_id,
+            step=2,
+            recipient=message.sender,
+            payload=payload,
+        )
         return B2BProtocolMessage(
             run_id=message.run_id,
             protocol=NR_SHARING_PROTOCOL,
             step=2,
             sender=self.party,
             recipient=message.sender,
-            payload=decision_payload,
+            payload=payload,
             tokens=[nr_decision],
-            attributes={"action": "decision"},
+            attributes={"action": action},
             reply_to=self._coordinator.address,
         )
 
@@ -1934,92 +2134,90 @@ class B2BObjectController:
         )
         return shared.validators.validate(context)
 
-    def handle_outcome(self, message: B2BProtocolMessage) -> None:
-        """Apply (or discard) a proposer's distributed outcome."""
+    def _proof_holds(
+        self, run_id: str, object_id: str, *proof: Any, trusted: Optional[str] = None
+    ) -> bool:
+        """:func:`agreement_proof` for ``run_id``; a failure is audited."""
         services = self._coordinator.services
-        outcome_payload = message.payload
+        failure = agreement_proof(services.evidence_verifier, run_id, *proof, trusted=trusted)
+        if failure is not None:
+            services.audit_log.append(
+                category=AUDIT_CATEGORY_SHARING,
+                subject=run_id,
+                details={"event": "outcome-rejected", "object_id": object_id, "reason": failure},
+            )
+        return failure is None
+
+    def _store_received(self, run_id: str, tokens: List[EvidenceToken]) -> None:
+        store = self._coordinator.services.evidence_store
+        store.store_many(run_id, [(token.token_type, token, store.ROLE_RECEIVED) for token in tokens])
+
+    def handle_outcome(self, message: B2BProtocolMessage) -> None:
+        """Apply the proposal this replica reserved, once the outcome proves it.
+
+        Any outcome from the run's proposer ends its reservation.  An agreed
+        one is applied only if :func:`~repro.core.agreement.agreement_proof`
+        holds for the reserved proposal and sharing group (else it is audited
+        ``outcome-rejected``); without a reservation -- a restarted replica,
+        or one that never accepted -- it is audited ``outcome-unheld`` and
+        left to resync.  Whatever of the outcome verifies is kept.
+        """
+        outcome_payload, run_id, sender = message.payload, message.run_id, message.sender
         object_id = outcome_payload["object_id"]
         nr_outcome = message.require_token(TokenType.NR_OUTCOME.value)
-        services.evidence_verifier.require_valid(
-            nr_outcome,
-            expected_type=TokenType.NR_OUTCOME,
-            expected_run_id=message.run_id,
-            expected_payload=outcome_payload,
-            expected_issuer=message.sender,
-        )
-        # Keep every peer's decision evidence for dispute resolution: the
-        # forwarded tokens are verified as a set and only verifiable evidence
-        # is retained.  The proposer verified each decision once, so these
-        # re-checks hit the process-wide signature memo.
-        decision_tokens = [
-            token
-            for token in message.tokens
-            if token.token_type == TokenType.NR_DECISION.value
-        ]
-        verdicts = services.evidence_verifier.verify_all(
-            (
-                (
-                    token,
-                    {
-                        "expected_type": TokenType.NR_DECISION,
-                        "expected_run_id": message.run_id,
-                    },
-                )
-                for token in decision_tokens
-            )
-        )
-        rejected_decisions = [
-            token.token_id
-            for token, error in zip(decision_tokens, verdicts)
-            if error is not None
-        ]
-        verified_decisions = [
-            token
-            for token, error in zip(decision_tokens, verdicts)
-            if error is None
-        ]
-        # The outcome and the decisions behind it are written in one step,
-        # before the update they justify is applied.
-        services.evidence_store.store_many(
-            message.run_id,
-            [
-                (token.token_type, token, services.evidence_store.ROLE_RECEIVED)
-                for token in [nr_outcome] + verified_decisions
-            ],
-        )
+        decisions = [t for t in message.tokens if t.token_type == TokenType.NR_DECISION.value]
+        held = self._release_reservation(object_id, run_id, sender)
         agreed = bool(outcome_payload.get("agreed"))
-        applied = False
-        if agreed and self.is_shared(object_id):
-            proposal = message.attributes.get("proposal") or {}
-            proposed_state = proposal.get("proposed_state")
-            new_version = outcome_payload.get("new_version")
-            shared = self._shared(object_id)
-            if proposed_state is not None and new_version == shared.version + 1:
-                record = self._build_outcome_record(
-                    run_id=message.run_id,
-                    proposer=message.sender,
-                    object_id=object_id,
-                    new_version=new_version,
-                    outcome_payload=outcome_payload,
-                    proposal=proposal,
-                    nr_outcome=nr_outcome,
-                    decision_tokens=verified_decisions,
-                )
-                self._apply_update(
-                    object_id, proposed_state, new_version, outcome_record=record
-                )
-                applied = True
-        services.audit_log.append(
-            category=AUDIT_CATEGORY_SHARING,
-            subject=message.run_id,
-            details={
-                "event": "outcome-received",
-                "object_id": object_id,
-                "agreed": agreed,
-                "applied": applied,
-                "rejected_decisions": rejected_decisions,
-            },
+        new_version = outcome_payload.get("new_version")
+        event, applied, rejected_decisions = "outcome-received", False, []
+        # The proof verifies the outcome and every member's decision: on the
+        # happy path it is the one verification pass.
+        proven = agreed and held is not None and self._proof_holds(
+            run_id, object_id, outcome_payload, nr_outcome, decisions,
+            held.proposal_digest, held.members, sender, trusted=self.party,
         )
+        if proven:
+            kept = [t for t in decisions if t.issuer != sender and t.issuer in held.members]
+            # The outcome and the decisions behind it are written in one
+            # step, before the update they justify is applied.
+            self._store_received(run_id, [nr_outcome] + kept)
+            if self.is_shared(object_id) and new_version == self.get_version(object_id) + 1:
+                record = self._build_outcome_record(
+                    run_id, sender, object_id, new_version, outcome_payload,
+                    held.proposal, nr_outcome, kept,
+                )
+                self._apply_update(object_id, held.proposal["proposed_state"], new_version, record)
+                applied = True
+        else:
+            verdicts = self._coordinator.services.evidence_verifier.verify_all(
+                [(nr_outcome, {"expected_type": TokenType.NR_OUTCOME, "expected_run_id": run_id,
+                               "expected_payload": outcome_payload, "expected_issuer": sender})]
+                + [(token, {"expected_type": TokenType.NR_DECISION, "expected_run_id": run_id})
+                   for token in decisions]
+            )
+            if agreed and held is not None:  # rejected, and audited, by the proof
+                event = None
+            elif verdicts[0] is not None:  # not the sender's outcome: refused
+                raise verdicts[0]
+            elif agreed and self.is_shared(object_id) and (
+                new_version == self.get_version(object_id) + 1
+            ):
+                event = "outcome-unheld"
+            tokens = [nr_outcome] + decisions
+            self._store_received(run_id, [t for t, error in zip(tokens, verdicts) if error is None])
+            rejected_decisions = [t.token_id for t, e in zip(decisions, verdicts[1:]) if e]
+        if event is not None:
+            self._coordinator.services.audit_log.append(
+                category=AUDIT_CATEGORY_SHARING,
+                subject=run_id,
+                details={
+                    "event": event,
+                    "object_id": object_id,
+                    "agreed": agreed,
+                    "applied": applied,
+                    "rejected_decisions": rejected_decisions,
+                },
+            )
 
     def handle_membership_proposal(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
         """Validate a proposed membership change and return a signed decision."""
@@ -2027,12 +2225,13 @@ class B2BObjectController:
         proposal = message.payload
         object_id = proposal["object_id"]
         token = message.require_token(TokenType.NR_MEMBERSHIP.value)
+        digest = payload_digest(proposal)
         try:
             services.evidence_verifier.require_valid(
                 token,
                 expected_type=TokenType.NR_MEMBERSHIP,
                 expected_run_id=message.run_id,
-                expected_payload=proposal,
+                expected_payload=digest,
                 expected_issuer=message.sender,
             )
         except EvidenceVerificationError as error:
@@ -2053,36 +2252,16 @@ class B2BObjectController:
                     validator="controller",
                 )
             else:
-                decision = ValidationDecision(accepted=True, validator="controller")
-        decision_payload = codec.canonicalize(
-            {
-                "object_id": object_id,
-                "run_id": message.run_id,
-                "accepted": decision.accepted,
-                "reason": decision.reason,
-                "validator": decision.validator,
-                "responder": self.party,
-                "proposal_digest": payload_digest(proposal).hex(),
-            }
-        )
-        nr_decision = services.evidence_builder.build(
-            token_type=TokenType.NR_DECISION,
-            run_id=message.run_id,
-            step=2,
-            recipient=message.sender,
-            payload=decision_payload,
-        )
-        return B2BProtocolMessage(
-            run_id=message.run_id,
-            protocol=NR_SHARING_PROTOCOL,
-            step=2,
-            sender=self.party,
-            recipient=message.sender,
-            payload=decision_payload,
-            tokens=[nr_decision],
-            attributes={"action": "membership-decision"},
-            reply_to=self._coordinator.address,
-        )
+                # A membership change holds the object like an update does.
+                refusal = self._reserve(
+                    object_id, message.run_id, message.sender, proposal, digest
+                )
+                decision = ValidationDecision(
+                    accepted=refusal is None,
+                    reason=refusal or "",
+                    validator="controller",
+                )
+        return self._decision_message(message, decision, digest, "membership-decision")
 
     def handle_membership_outcome(self, message: B2BProtocolMessage) -> None:
         """Apply an agreed membership change (and bootstrap new members)."""
@@ -2097,6 +2276,7 @@ class B2BObjectController:
             expected_payload=outcome,
             expected_issuer=message.sender,
         )
+        self._release_reservation(object_id, message.run_id, message.sender)
         if not outcome.get("agreed"):
             return
         action = outcome["membership_action"]
@@ -2129,16 +2309,7 @@ class _UpdateRun(_CoordinationRun):
         self._shared = controller._shared(object_id)  # noqa: SLF001 - same module
         self._new_state = new_state
         self._base_version = 0
-        self._proposal: Any = None
-        self._nro_update: Optional[EvidenceToken] = None
-        self._peers: List[str] = []
-        self._decisions: Dict[str, ValidationDecision] = {}
-        self._decision_tokens: Dict[str, EvidenceToken] = {}
-        self._reason = ""
-        self._agreed = False
-        self._degraded = False
         self._new_version: Optional[int] = None
-        self._nr_outcome: Optional[EvidenceToken] = None
         self._outcome_payload: Any = None
 
     _journal_kind = "update"
@@ -2150,7 +2321,7 @@ class _UpdateRun(_CoordinationRun):
         }
 
     def _phase1_messages(self) -> List[B2BProtocolMessage]:
-        controller, services = self._controller, self._services
+        controller = self._controller
         self._base_version = self._shared.version
         # Encode once: the proposed state and the proposal envelope are
         # canonicalised here and their (bytes, digest, size) shared by every
@@ -2163,75 +2334,22 @@ class _UpdateRun(_CoordinationRun):
                 "proposed_state": codec.canonicalize(self._new_state),
             }
         )
-        self._nro_update = services.evidence_builder.build(
-            token_type=TokenType.NRO_UPDATE,
-            run_id=self.run_id,
-            step=1,
-            recipient=self.object_id,
-            payload=self._proposal,
-        )
-        services.evidence_store.store(
-            run_id=self.run_id,
-            token_type=self._nro_update.token_type,
-            token=self._nro_update,
-            role=services.evidence_store.ROLE_GENERATED,
-        )
+        if not self._reserved(self._base_version):  # re-checked under the object lock
+            return None
         # Phase 1: collect signed decisions from every peer through one
-        # batched fan-out; the shared proposal body is encoded exactly once.
+        # batched fan-out.
         self._peers = controller.peers(self.object_id)
-        return [
-            B2BProtocolMessage(
-                run_id=self.run_id,
-                protocol=NR_SHARING_PROTOCOL,
-                step=1,
-                sender=controller.party,
-                recipient=peer,
-                payload=self._proposal,
-                tokens=[self._nro_update],
-                attributes={"action": ACTION_PROPOSE},
-                reply_to=self._coordinator.address,
-            )
-            for peer in self._peers
-        ]
+        return self._proposal_wave(TokenType.NRO_UPDATE, ACTION_PROPOSE)
 
     def _phase2_messages(self, results: List) -> List[B2BProtocolMessage]:
         controller, services = self._controller, self._services
-        # Built locally and published by (atomic) reference assignment: a
-        # concurrent abort snapshots either no decisions or all of them,
-        # never a dict mid-mutation.
-        decisions: Dict[str, ValidationDecision] = {}
-        decision_tokens: Dict[str, EvidenceToken] = {}
-        reason = ""
-        for peer, (response, error) in zip(self._peers, results):
-            if error is not None:
-                decisions[peer] = ValidationDecision(
-                    accepted=False,
-                    reason=f"peer unreachable: {error}",
-                    validator="coordinator",
-                )
-                reason = reason or f"peer {peer} unreachable"
-                continue
-            decision, token = controller._verify_decision(  # noqa: SLF001
-                self.run_id, peer, self._proposal, response
-            )
-            decisions[peer] = decision
-            if token is not None:
-                decision_tokens[peer] = token
-            if not decision.accepted and not reason:
-                reason = decision.reason
+        self._collect_decisions(results)
         services.evidence_store.store_many(
             self.run_id,
             [
                 (token.token_type, token, services.evidence_store.ROLE_RECEIVED)
-                for token in decision_tokens.values()
+                for token in self._decision_tokens.values()
             ],
-        )
-        self._decisions = decisions
-        self._decision_tokens = decision_tokens
-        self._reason = reason
-
-        self._agreed = all(
-            decision.accepted for decision in self._decisions.values()
         )
         self._new_version = self._base_version + 1 if self._agreed else None
 
@@ -2271,33 +2389,12 @@ class _UpdateRun(_CoordinationRun):
                 recipient=peer,
                 payload=outcome,
                 tokens=outcome_tokens,
-                attributes={"action": ACTION_OUTCOME, "proposal": self._proposal},
+                attributes={"action": ACTION_OUTCOME},
                 reply_to=self._coordinator.address,
             )
             for peer in self._peers
         ]
-        # Graceful degradation: when *every* peer was unreachable in phase 1
-        # (an exhausted partition window, a severed network) the outcome wave
-        # can only burn the same retry budgets again.  Resolve not-agreed
-        # with an audited reason and skip the fan-out -- the proposer's
-        # waiter settles normally instead of stranding on hopeless retries;
-        # the built wave stays stashed for journal recovery and the
-        # scheduler-driven re-delivery task.
-        if self._peers and all(error is not None for _response, error in results):
-            self._degraded = True
-            services.audit_log.append(
-                category=AUDIT_CATEGORY_SHARING,
-                subject=self.run_id,
-                details={
-                    "event": "run-degraded",
-                    "object_id": self.object_id,
-                    "reason": "all peers unreachable; suspected partition",
-                    "peers": list(self._peers),
-                    "outcome_wave_skipped": True,
-                },
-            )
-            return []
-        return self._outcome_wave
+        return [] if self._degrade(results) else self._outcome_wave
 
     def _on_committed(self) -> None:
         services = self._services
@@ -2385,29 +2482,6 @@ class _UpdateRun(_CoordinationRun):
             reason=self._reason,
         )
 
-    def _aborted_outcome(self, reason: str) -> SharingOutcome:
-        self._services.audit_log.append(
-            category=AUDIT_CATEGORY_SHARING,
-            subject=self.run_id,
-            details={
-                "event": "update-aborted",
-                "object_id": self.object_id,
-                "reason": reason,
-            },
-        )
-        evidence: Dict[str, EvidenceToken] = {}
-        if self._nro_update is not None:
-            evidence[TokenType.NRO_UPDATE.value] = self._nro_update
-        return SharingOutcome(
-            run_id=self.run_id,
-            object_id=self.object_id,
-            agreed=False,
-            new_version=None,
-            proposer=self._controller.party,
-            decisions=dict(self._decisions),
-            evidence=evidence,
-            reason=reason,
-        )
 
 
 class _MembershipRun(_CoordinationRun):
@@ -2425,15 +2499,7 @@ class _MembershipRun(_CoordinationRun):
         self._shared = controller._shared(object_id)  # noqa: SLF001 - same module
         self._action = action
         self._member = member
-        self._proposal: Any = None
-        self._nro_update: Optional[EvidenceToken] = None
-        self._voters: List[str] = []
         self._ordered_recipients: List[str] = []
-        self._decisions: Dict[str, ValidationDecision] = {}
-        self._decision_tokens: Dict[str, EvidenceToken] = {}
-        self._agreed = False
-        self._degraded = False
-        self._nr_outcome: Optional[EvidenceToken] = None
 
     _journal_kind = "membership"
 
@@ -2445,7 +2511,7 @@ class _MembershipRun(_CoordinationRun):
         }
 
     def _phase1_messages(self) -> List[B2BProtocolMessage]:
-        controller, services = self._controller, self._services
+        controller = self._controller
         action, member = self._action, self._member
         current_members = controller.members(self.object_id)
         if action == "connect" and member in current_members:
@@ -2464,67 +2530,21 @@ class _MembershipRun(_CoordinationRun):
                 "version": self._shared.version,
             }
         )
-        self._nro_update = services.evidence_builder.build(
-            token_type=TokenType.NR_MEMBERSHIP,
-            run_id=self.run_id,
-            step=1,
-            recipient=self.object_id,
-            payload=self._proposal,
-        )
-        services.evidence_store.store(
-            run_id=self.run_id,
-            token_type=self._nro_update.token_type,
-            token=self._nro_update,
-            role=services.evidence_store.ROLE_GENERATED,
-        )
+        if not self._reserved():
+            return None
         # The affected member only votes on its own disconnection, not on its
         # own admission (it is not yet part of the trust domain for connect).
-        self._voters = [
+        self._peers = [
             peer
             for peer in controller.peers(self.object_id)
             if peer != member or action == "disconnect"
         ]
-        return [
-            B2BProtocolMessage(
-                run_id=self.run_id,
-                protocol=NR_SHARING_PROTOCOL,
-                step=1,
-                sender=controller.party,
-                recipient=peer,
-                payload=self._proposal,
-                tokens=[self._nro_update],
-                attributes={"action": ACTION_MEMBERSHIP_PROPOSE},
-                reply_to=self._coordinator.address,
-            )
-            for peer in self._voters
-        ]
+        return self._proposal_wave(TokenType.NR_MEMBERSHIP, ACTION_MEMBERSHIP_PROPOSE)
 
     def _phase2_messages(self, results: List) -> List[B2BProtocolMessage]:
         controller, services = self._controller, self._services
         action, member = self._action, self._member
-        # Local build + atomic publish, same reasoning as the update run.
-        decisions: Dict[str, ValidationDecision] = {}
-        decision_tokens: Dict[str, EvidenceToken] = {}
-        for peer, (response, error) in zip(self._voters, results):
-            if error is not None:
-                decisions[peer] = ValidationDecision(
-                    accepted=False,
-                    reason=f"peer unreachable: {error}",
-                    validator="coordinator",
-                )
-                continue
-            decision, token = controller._verify_decision(  # noqa: SLF001
-                self.run_id, peer, self._proposal, response
-            )
-            decisions[peer] = decision
-            if token is not None:
-                decision_tokens[peer] = token
-        self._decisions = decisions
-        self._decision_tokens = decision_tokens
-
-        self._agreed = all(
-            decision.accepted for decision in self._decisions.values()
-        )
+        self._collect_decisions(results)
         outcome = codec.canonicalize(
             {
                 "object_id": self.object_id,
@@ -2565,23 +2585,8 @@ class _MembershipRun(_CoordinationRun):
             )
             for peer in sorted(recipients)
         ]
-        # Same degraded path as the update run: a vote wave that reached
-        # nobody means the outcome wave cannot reach anybody either.  The
-        # built wave stays stashed for journal recovery and re-delivery.
-        if self._voters and all(error is not None for _response, error in results):
-            self._degraded = True
-            self._ordered_recipients = []
-            services.audit_log.append(
-                category=AUDIT_CATEGORY_SHARING,
-                subject=self.run_id,
-                details={
-                    "event": "run-degraded",
-                    "object_id": self.object_id,
-                    "reason": "all peers unreachable; suspected partition",
-                    "peers": list(self._voters),
-                    "outcome_wave_skipped": True,
-                },
-            )
+        # A vote wave that reached nobody: the outcome wave cannot either.
+        if self._degrade(results):
             return []
         self._ordered_recipients = sorted(recipients)
         return self._outcome_wave
@@ -2630,31 +2635,8 @@ class _MembershipRun(_CoordinationRun):
             },
         )
 
-    def _aborted_outcome(self, reason: str) -> SharingOutcome:
-        self._services.audit_log.append(
-            category=AUDIT_CATEGORY_SHARING,
-            subject=self.run_id,
-            details={
-                "event": "membership-aborted",
-                "object_id": self.object_id,
-                "action": self._action,
-                "member": self._member,
-                "reason": reason,
-            },
-        )
-        evidence: Dict[str, EvidenceToken] = {}
-        if self._nro_update is not None:
-            evidence[TokenType.NR_MEMBERSHIP.value] = self._nro_update
-        return SharingOutcome(
-            run_id=self.run_id,
-            object_id=self.object_id,
-            agreed=False,
-            new_version=self._shared.version,
-            proposer=self._controller.party,
-            decisions=dict(self._decisions),
-            evidence=evidence,
-            reason=reason,
-        )
+    def _abort_context(self) -> tuple:
+        return {"action": self._action, "member": self._member}, self._shared.version
 
 
 class SharingProtocolHandler(B2BProtocolHandler):
@@ -2666,9 +2648,8 @@ class SharingProtocolHandler(B2BProtocolHandler):
         super().__init__()
         self._controller = controller
 
-    def process_request(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
-        action = message.attributes.get("action")
-        run = self.runs.get_or_create(
+    def _run_for(self, message: B2BProtocolMessage) -> ProtocolRun:
+        return self.runs.get_or_create(
             ProtocolRun(
                 run_id=message.run_id,
                 protocol=self.protocol,
@@ -2676,6 +2657,10 @@ class SharingProtocolHandler(B2BProtocolHandler):
                 responder=self._controller.party,
             )
         )
+
+    def process_request(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
+        action = message.attributes.get("action")
+        run = self._run_for(message)
         if not run.record_message(message):
             # A transport duplicate, or the sender's retry of a request whose
             # reply was lost in transit: replay the recorded response
@@ -2727,14 +2712,7 @@ class SharingProtocolHandler(B2BProtocolHandler):
 
     def process(self, message: B2BProtocolMessage) -> None:
         action = message.attributes.get("action")
-        run = self.runs.get_or_create(
-            ProtocolRun(
-                run_id=message.run_id,
-                protocol=self.protocol,
-                initiator=message.sender,
-                responder=self._controller.party,
-            )
-        )
+        run = self._run_for(message)
         if not run.record_message(message):
             return
         tracer = _OBS.tracing
@@ -2747,7 +2725,7 @@ class SharingProtocolHandler(B2BProtocolHandler):
             )
         try:
             with _span_scope(span):
-                if action == ACTION_OUTCOME:
+                if action in (ACTION_OUTCOME, ACTION_MEMBERSHIP_OUTCOME):
                     # The application marker subsumes _clear_orphan_watch (it
                     # pops the timer itself) and makes a concurrently-firing
                     # orphan expiry cancel instead of aborting the committing
@@ -2755,13 +2733,10 @@ class SharingProtocolHandler(B2BProtocolHandler):
                     with self._controller._outcome_application(  # noqa: SLF001
                         message.run_id
                     ):
-                        self._controller.handle_outcome(message)
-                        run.complete()
-                elif action == ACTION_MEMBERSHIP_OUTCOME:
-                    with self._controller._outcome_application(  # noqa: SLF001
-                        message.run_id
-                    ):
-                        self._controller.handle_membership_outcome(message)
+                        if action == ACTION_OUTCOME:
+                            self._controller.handle_outcome(message)
+                        else:
+                            self._controller.handle_membership_outcome(message)
                         run.complete()
                 elif action == ACTION_ABORT:
                     self._controller.handle_abort(message)

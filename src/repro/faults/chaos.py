@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.clock import SimulatedClock
 from repro.core.config import ObservabilityConfig, PeeringConfig
-from repro.core.sharing import set_run_fault_injector
+from repro.core.sharing import AUDIT_CATEGORY_SHARING, set_run_fault_injector
 from repro.core.trust_domain import TrustDomain
 from repro.faults.failpoints import VERB_CLOSE
 from repro.faults.plan import FaultPlan, FaultRule
@@ -65,6 +65,25 @@ __all__ = [
 
 #: Object id shared objects are coordinated under in every scenario.
 OBJECT_ID = "chaos-doc"
+#: The self-healing victim's crashed proposal targets this second object:
+#: on ``OBJECT_ID`` it still holds the partitioned run's reservation, and a
+#: reserved object refuses its own proposals before anything is journaled.
+SIDE_OBJECT_ID = "chaos-side"
+
+
+def _rejected_outcomes(organisations) -> List[str]:
+    """``party:event:run`` per rejected outcome or expired reservation.
+
+    Every party here is honest and stays up, so neither may happen: resync
+    would heal the replica later and hide an over-strict agreement proof (or
+    a too-short orphan timeout) from every other check.
+    """
+    return [
+        f"{organisation.uri}:{record.details['event']}:{record.subject}"
+        for organisation in organisations
+        for record in organisation.audit_records(category=AUDIT_CATEGORY_SHARING)
+        if record.details.get("event") in ("outcome-rejected", "orphan-run-expired")
+    ]
 
 
 def standard_chaos_plan(seed: int) -> FaultPlan:
@@ -110,6 +129,9 @@ class ChaosReport:
                     f"  simulated: {self.simulated.get(key)!r}\n"
                     f"  wired:     {self.wired.get(key)!r}"
                 )
+        for leg, summary in (("simulated", self.simulated), ("wired", self.wired)):
+            if summary.get("rejected_outcomes"):
+                problems.append(f"{leg} rejections: {summary['rejected_outcomes']!r}")
         return problems
 
     @property
@@ -148,6 +170,7 @@ def _drive(proposer, values):
 def _summarize(outcomes, run_ids, uris, org_for) -> Dict[str, Any]:
     return {
         "outcomes": outcomes,
+        "rejected_outcomes": _rejected_outcomes([org_for(uri) for uri in uris]),
         "evidence": {
             uri: _evidence_summary(org_for(uri), run_ids) for uri in uris
         },
@@ -427,6 +450,11 @@ def _require(condition: bool, message: str) -> None:
         raise SelfHealingScenarioError(message)
 
 
+def _require_honest(organisations) -> None:
+    rejected = _rejected_outcomes(organisations)
+    _require(not rejected, f"honest replicas rejected outcomes: {rejected!r}")
+
+
 class _SimulatedCrash(Exception):
     """In-process stand-in for the wire leg's SIGKILL."""
 
@@ -537,6 +565,7 @@ def _simulated_self_healing(seed: int, storage_uri: str) -> Dict[str, Any]:
 
     first = build_domain()
     first.share_object(OBJECT_ID, {"v": 0})
+    first.share_object(SIDE_OBJECT_ID, {"v": 0})
     bootstrap = first.organisation(proposer_uri).propose_update(
         OBJECT_ID, values["bootstrap"]
     )
@@ -572,9 +601,9 @@ def _simulated_self_healing(seed: int, storage_uri: str) -> Dict[str, Any]:
     )
 
     # The victim dies post-commit (it holds agreed version 1): its own next
-    # proposal crashes at the journal barrier -- the in-process analogue of
-    # the wire leg's client-send SIGKILL, leaving a half-proposed journal
-    # entry behind and nothing at any peer.
+    # proposal (on the side object) crashes at the journal barrier -- the
+    # in-process analogue of the wire leg's client-send SIGKILL, leaving a
+    # half-proposed journal entry behind and nothing at any peer.
     crashed: List[str] = []
 
     def crash(stage: str, run) -> None:
@@ -586,7 +615,7 @@ def _simulated_self_healing(seed: int, storage_uri: str) -> Dict[str, Any]:
     try:
         with contextlib.suppress(_SimulatedCrash):
             first.organisation(victim_uri).propose_update(
-                OBJECT_ID, values["crashed"]
+                SIDE_OBJECT_ID, values["crashed"]
             )
     finally:
         set_run_fault_injector(None)
@@ -612,6 +641,7 @@ def _simulated_self_healing(seed: int, storage_uri: str) -> Dict[str, Any]:
     )
     confirm = victim.propose_update(OBJECT_ID, values["confirm"])
     _require(confirm.agreed, "confirm update did not agree after resync")
+    _require_honest([*first.organisations.values(), *second.organisations.values()])
 
     labelled = {
         "bootstrap": bootstrap.run_id,
@@ -707,6 +737,7 @@ def _victim_run(directory: Path, seed: int, storage_kind: str) -> None:
     uris = _uris(3)
     organisation = domain.organisation(uris[2])
     domain.share_object(OBJECT_ID, {"v": 0})
+    domain.share_object(SIDE_OBJECT_ID, {"v": 0})
     transport.introduce_to(endpoint["host"], endpoint["port"])
     (directory / "victim-ready.json").write_text(
         json.dumps({"host": transport.host, "port": transport.port})
@@ -730,7 +761,7 @@ def _victim_run(directory: Path, seed: int, storage_kind: str) -> None:
         action=lambda _message: os.kill(os.getpid(), signal.SIGKILL),
         max_shots=1,
     )
-    organisation.propose_update(OBJECT_ID, values["crashed"])
+    organisation.propose_update(SIDE_OBJECT_ID, values["crashed"])
     # Unreachable: the proposal's first outbound send fired the failpoint.
     transport.close()
     raise SelfHealingScenarioError("client crash failpoint never fired")
@@ -788,6 +819,7 @@ def _victim_recover(directory: Path, seed: int, storage_kind: str) -> None:
 
     confirm = organisation.propose_update(OBJECT_ID, values["confirm"])
     _require(confirm.agreed, "confirm update did not agree after recovery")
+    _require_honest([organisation])
 
     labelled = {
         "bootstrap": runs["bootstrap"],
@@ -891,6 +923,7 @@ def _wired_self_healing(
             json.dumps({"host": transport.host, "port": transport.port})
         )
         domain.share_object(OBJECT_ID, {"v": 0})
+        domain.share_object(SIDE_OBJECT_ID, {"v": 0})
         proposer = domain.organisation(proposer_uri)
 
         first = _spawn_victim(directory, "run", seed, storage_kind)
@@ -997,6 +1030,7 @@ def _wired_self_healing(
             scheduler.pending_timers() == 0,
             "host scheduler leaked timers after convergence",
         )
+        _require_honest(domain.organisations.values())
 
         labelled = {
             "bootstrap": bootstrap.run_id,

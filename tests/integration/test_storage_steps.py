@@ -80,7 +80,8 @@ class TestNothingPendingWhenAMessageLeaves:
         future = a.propose_update_async(OBJECT_ID, {"n": 3})
         assert future.abort("operator gave up")
         assert not future.result(timeout=30).agreed
-        assert len(admissions) == 5  # two rounds of two waves, one aborted in its first
+        # Two rounds of two waves; the aborted one's proposal and its notices.
+        assert len(admissions) == 6
         assert {pending for _, pending in admissions} == {0}
 
     def test_invocation(self, admissions):

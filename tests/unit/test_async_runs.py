@@ -8,7 +8,9 @@ deadline, and the engine's own contract: a healthy blocking round stays on
 the calling thread, a lossy one converges with complete evidence.
 """
 
+import gc
 import threading
+import weakref
 from collections import Counter
 
 import pytest
@@ -88,6 +90,23 @@ class TestProposeUpdateAsync:
         domain = make_domain()
         with pytest.raises(CoordinationError):
             domain.organisation("urn:org:p0").propose_update_async("nope", {})
+
+    def test_a_settled_run_is_freed_without_the_cyclic_collector(self):
+        from repro.core.sharing import _UpdateRun
+
+        domain = make_domain()
+        controller = domain.organisation("urn:org:p0").controller
+        gc.disable()
+        try:
+            run = _UpdateRun(controller, "doc", {"v": 1})
+            machine = weakref.ref(run)
+            future = run.start()
+            del run
+            assert future.result(timeout=30).agreed
+            assert machine() is None  # no future <-> run cycle left behind
+            assert future.abort() is False
+        finally:
+            gc.enable()
 
 
 class TestOneEngine:

@@ -185,5 +185,7 @@ class TestHashesPerUpdate:
             # hashing its body once, plus 5 audit-chain links, 4 payload
             # digests and 3 state digests; the 10 verifications of the round
             # add none (26 hashes before the body digest was cached on the
-            # token).
-            assert delta == {"all": 16, "in_verify": 0, "sign": 4, "verify": 10}
+            # token).  The agreement proof adds (n-1)(n-2) = 2: each
+            # responder rebuilds the other responder's decision payload from
+            # the signed outcome (its own acceptance is its reservation).
+            assert delta == {"all": 18, "in_verify": 0, "sign": 4, "verify": 10}

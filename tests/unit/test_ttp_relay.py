@@ -4,7 +4,7 @@ import pytest
 
 from repro import ComponentDescriptor, DeploymentStyle, TokenType, TrustDomain
 from repro.core.messages import B2BProtocolMessage
-from repro.core.ttp import FAIR_EXCHANGE_PROTOCOL, RelayProtocolHandler, TTPArbitrator, install_relays
+from repro.core.ttp import FAIR_EXCHANGE_PROTOCOL, RelayProtocolHandler, install_relays
 from repro.errors import FairExchangeError, ProtocolError
 from tests.conftest import QuoteService
 
