@@ -12,8 +12,9 @@ also crashes a participant, to show:
 * a crashed or vetoing participant can block agreement but can never cause
   replicas to diverge or unauthorised state to be applied (safety);
 * an update that *agrees* but whose signed outcome wave never reaches one
-  peer heals itself through proposer-driven outcome re-delivery, with every
-  step audited;
+  peer heals itself on a default configuration -- through proposer-driven
+  outcome re-delivery, or through the stale peer catching itself up -- with
+  every step audited;
 * the evidence and audit trail remain complete and verifiable throughout;
 * with the observability plane on, the degraded run and its self-repair
   show up as one span tree, and the metrics registry prices the work.
@@ -28,7 +29,6 @@ from __future__ import annotations
 from repro import (
     ComponentDescriptor,
     DomainConfig,
-    DurabilityConfig,
     FaultConfig,
     FaultModel,
     TrustDomain,
@@ -121,21 +121,17 @@ def main() -> None:
     print("audit logs intact:",
           all(org.audit_log.verify_integrity() for org in (buyer, warehouse, auditor)))
 
-    # 5. A degraded run heals itself.  Agreement is decided in phase 1, so a
-    #    partition that hits *between* the commit barrier and the outcome
-    #    wave leaves the run agreed everywhere but one peer never learns the
-    #    result.  With outcome re-delivery enabled the proposer queues the
-    #    signed outcome and a scheduler task re-pushes it until the peer
-    #    acks -- no operator action, and the whole repair is in the audit log.
-    #    Observability is on for this domain, so the degraded run -- fan-out,
-    #    commit, severed outcome wave and the re-delivery that repairs it --
-    #    is captured as one span tree (section 6 renders it).
+    # 5. A degraded run heals itself, with nothing configured for it.
+    #    Agreement is decided in phase 1, so a partition that hits *between*
+    #    the commit barrier and the outcome wave leaves the run agreed
+    #    everywhere but one peer never learns the result.  The proposer
+    #    queues the signed outcome and a scheduler task re-pushes it until
+    #    the peer acks -- no operator action, and the whole repair is in the
+    #    audit log.  Observability is on for this domain, so the degraded run
+    #    -- fan-out, commit, severed outcome wave and the re-delivery that
+    #    repairs it -- is captured as one span tree (section 6 renders it).
     healing = TrustDomain.create(
-        parties,
-        config=DomainConfig(
-            durability=DurabilityConfig(outcome_redelivery=True),
-            observability=ObservabilityConfig(),
-        ),
+        parties, config=DomainConfig(observability=ObservabilityConfig())
     )
     h_buyer = healing.organisation("urn:org:buyer")
     h_auditor = healing.organisation("urn:org:auditor")
@@ -172,6 +168,31 @@ def main() -> None:
             extras = {k: v for k, v in record.details.items()
                       if k not in ("event", "object_id")}
             print(f"  {event} {extras}" if extras else f"  {event}")
+
+    #    Had the re-delivery not reached it, the auditor would still catch
+    #    itself up: sever the next wave the same way, heal the link without
+    #    driving the scheduler, and let the auditor propose.  Its proposal
+    #    is blocked by the run it accepted but never saw settle, so it first
+    #    pulls the missed version from that run's proposer (signature-checked
+    #    and version-guarded), then proposes on top of it.
+    set_run_fault_injector(sever_outcome_wave)
+    try:
+        missed = h_buyer.propose_update("orders", {"accepted": 2})
+    finally:
+        set_run_fault_injector(None)
+    healing.network.partition.heal_all()
+    caught_up = h_auditor.propose_update("orders", {"accepted": 3})
+    print("auditor's own proposal after a missed outcome agreed:", caught_up.agreed)
+    print("auditor caught itself up:", any(
+        record.details.get("event") == "resync-applied"
+        for record in h_auditor.audit_records(subject=missed.run_id)
+    ))
+    healing.retry_scheduler.drive_until(
+        lambda: not h_buyer.controller.pending_redeliveries()
+    )
+    print("replicas consistent =", len({
+        org.controller.state_digest("orders") for org in healing.organisations.values()
+    }) == 1)
 
     # 6. The whole story on the observability plane: the run id is the trace
     #    id, so the degraded update, the commit barrier its severed outcome

@@ -89,8 +89,8 @@ that representation is reused everywhere downstream.
   keeps no decoded copy: records are decoded, and memoised, when a dispute or
   a recovery *reads* them.  ``StateStore`` appends one small history entry
   per agreed version (``state:{owner}:history:{object_id}:{version:012d}``),
-  so version 10 000 costs what version 1 did.  The durable outcome record a
-  replica keeps for resync splices the tokens' cached canonical text too.
+  so version 10 000 costs what version 1 did.  The compact outcome record
+  it keeps per version splices the outcome's cached text and holds no token.
 
 * **One backend commit per protocol step** -- the stores write through a
   per-thread *storage step* (``repro.persistence.storage``): during a
@@ -279,7 +279,7 @@ restarted proposer has no memory the run ever existed.
   the proposal it kept only when ``repro.core.agreement.agreement_proof``
   holds -- the outcome wave carries no proposal.  A failing outcome is
   kept as evidence, audited ``outcome-rejected``; an agreed one with no
-  reservation (a restart) is audited ``outcome-unheld`` and left to resync.
+  reservation (a restart) is audited ``outcome-unheld`` and caught up.
 
 * **Orphan expiry** -- a reservation older than ``orphan_run_timeout``
   (default ``DEFAULT_ORPHAN_RUN_TIMEOUT``) is released by the next
@@ -303,47 +303,40 @@ Recovery architecture
 ---------------------
 
 Three self-healing layers sit above the journal, each owning a failure the
-others cannot see.  All are opt-in through ``DurabilityConfig`` /
-``TrustDomain.create`` and all default off:
+others cannot see.  Only journal replay is configured; the other two are
+always on:
 
 * **Journal replay** (``durable_runs=True``, above) heals the *proposer's
   own crash*: ``recover_runs()`` aborts half-proposed runs and resumes
   committed ones.  It cannot help when the proposer stayed up but a *peer*
   missed the outcome -- the run is settled, the journal closed.
 
-* **Outcome re-delivery** (``outcome_redelivery=True``) heals the
-  *undelivered outcome wave*: when an
-  agreed run's outcome fan-out fails for some peers (and when a degraded
-  run could not dispatch at all), the proposer queues the exact journaled
-  wave messages and a ``RetryScheduler`` task pushes them --
-  exponential-backoff timers tagged ``redeliver:{party}:{run_id}``,
-  circuit-breaker-open peers skipped passively -- until every peer acks or
-  the object advances past the run's version (then the task retires,
-  audited ``outcome-redelivery-superseded``, without re-sending).  Peers
-  absorb late waves idempotently: evidence is stored unconditionally, the
-  apply is version-guarded and proven against the peer's reservation, and
-  the original message ids deduplicate re-sends at peers that already
-  processed the wave.  Observable via ``pending_redeliveries()`` and
-  ``outcome-redelivery-*`` audit records.
+* **Outcome re-delivery** heals the *undelivered outcome wave*: when a
+  run's outcome fan-out misses some peers (or a degraded run could not
+  dispatch at all), the proposer queues the exact wave messages on the
+  ``RetryScheduler`` -- backoff timers tagged ``redeliver:{party}:{run_id}``,
+  breaker-open peers skipped -- until every peer acks, the object advances
+  past the run's version (``outcome-redelivery-superseded``) or
+  ``REDELIVERY_MAX_ATTEMPTS`` are spent (``outcome-redelivery-abandoned``).
+  A healthy run arms nothing; peers dedup re-sends by message id and apply
+  late waves proven and version-guarded (``pending_redeliveries()``).
 
-* **Durable object state + restart-time resync** (``durable_state=True``,
-  ``resync_on_connect=True``) heal the *restarted replica*: every committed
-  apply persists ``(version, state digest)`` and the signed outcome record
-  through the digest-addressed ``StateStore`` (under the same ``storage=``
-  profile), so ``register_object`` resumes a known object at its recorded
-  version (audited ``object-resumed``) instead of re-registering from
-  configuration.  A replica that was *down while versions were agreed* then
-  anti-entropy-pulls what it missed: peers exchange per-object
-  ``(version, digest)`` vectors over the wire's ``@system`` channel
-  (``WireTransport.resync_with`` / ``resync_with_peers``, automatic after
-  ``introduce_to``/``exchange`` when ``resync_on_connect`` is set), and the
-  stale side fetches the missing signed outcome + decision evidence with
-  the proposal, applying version-guarded once the agreement proof holds
-  for the current members -- how an ``outcome-unheld`` replica catches up
-  (the same path is
-  drivable in-process through ``resync_vector`` / ``resync_records`` /
-  ``apply_resync_record`` on the controller; same-version digest mismatches
-  audit ``resync-divergence``).
+* **Catch-up** heals the *stale replica*: every agreed version keeps a
+  compact ``{run_id, outcome}`` record beside its snapshot and history
+  entry in the ``StateStore``, from which ``resync_records`` rebuilds the
+  signed catch-up record (proposal from snapshot and outcome, tokens from
+  the evidence store).  A replica that learns it is behind -- a proposal
+  based ahead of it, an ``outcome-unheld`` outcome, a foreign reservation
+  blocking its own proposal, or a ``stale base`` refusal -- pulls what it
+  missed with ``catch_up(object_id, peer)``: one sharing-protocol request
+  on either transport, served to current members only.  Records apply
+  version-guarded once the agreement proof holds (``resync-applied``); one
+  that does not decode, revive or prove is audited ``resync-rejected``.
+  Wire processes also compare per-object ``(version, digest)`` vectors at
+  every ``introduce_to`` (``resync_with`` / ``resync_with_peers``), so a
+  restarted replica -- resumed at its recorded version when
+  ``durable_state=True`` (``object-resumed``) -- converges as it
+  reconnects; same-version mismatches audit ``resync-divergence``.
 
 Responder-side orphan GC (above) composes with all three: an expiry racing
 a late outcome application cancels itself (audited

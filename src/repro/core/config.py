@@ -87,16 +87,14 @@ class DurabilityConfig:
     ``repro.core.sharing.DEFAULT_ORPHAN_RUN_TIMEOUT`` is then released by
     the next competing proposal, and a number sets that age as well.
 
-    The self-healing knobs: ``durable_state`` persists each replica's
-    agreed ``(version, state-digest)`` history through its
-    :class:`~repro.persistence.StateStore` so a restarted process resumes
-    shared objects at their recorded version instead of re-registering
-    from configuration; ``outcome_redelivery`` makes a proposer whose
-    outcome wave was (partly) undeliverable keep pushing it through the
-    retry scheduler, breaker-aware per peer, until every peer acked or
-    the object advanced past it; ``resync_on_connect`` makes wire peers
-    compare per-object ``(version, digest)`` vectors at credential
-    exchange and pull any missed signed outcomes (anti-entropy).
+    ``durable_state`` puts each replica's agreed history (snapshots,
+    per-version digests and compact outcome records) on the storage
+    profile's backend and makes a restarted process resume shared objects
+    at their recorded version instead of re-registering from
+    configuration.  Recovery itself is not configured: every agreed
+    version keeps its outcome record, a proposer re-delivers an
+    undelivered outcome wave, wire peers resync at every introduction,
+    and a stale replica catches itself up from a peer that is ahead.
     """
 
     durable_runs: bool = False
@@ -105,8 +103,6 @@ class DurabilityConfig:
     run_journal_backend_factory: Optional[BackendFactory] = None
     orphan_run_timeout: Optional[float] = None
     durable_state: bool = False
-    outcome_redelivery: bool = False
-    resync_on_connect: bool = False
     state_backend_factory: Optional[BackendFactory] = None
 
     def resolve_factories(
@@ -246,8 +242,6 @@ class DomainConfig:
         storage: Optional[str] = None,
         peering: Optional[PeeringConfig] = None,
         durable_state: bool = False,
-        outcome_redelivery: bool = False,
-        resync_on_connect: bool = False,
         state_backend_factory: Optional[BackendFactory] = None,
     ) -> "DomainConfig":
         """Build a config from the historical flat keyword surface."""
@@ -268,8 +262,6 @@ class DomainConfig:
                 run_journal_backend_factory=run_journal_backend_factory,
                 orphan_run_timeout=orphan_run_timeout,
                 durable_state=durable_state,
-                outcome_redelivery=outcome_redelivery,
-                resync_on_connect=resync_on_connect,
                 state_backend_factory=state_backend_factory,
             ),
             faults=FaultConfig(plan=fault_plan, model=fault_model),
@@ -300,12 +292,6 @@ class DomainConfig:
             )
         if self.durability.storage is not None:
             StorageProfile.parse(self.durability.storage)  # raises on nonsense
-        if self.durability.resync_on_connect and not self.durability.durable_state:
-            raise ProtocolError(
-                "resync_on_connect= needs durable_state=: the (version, "
-                "digest) vectors and stored outcome records that anti-entropy "
-                "serves live in the durable state store"
-            )
         if self.peering is not None:
             self.peering.to_policy()  # bounds-checks the policy fields
         observability = self.observability

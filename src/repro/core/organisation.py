@@ -87,7 +87,6 @@ class Organisation:
         audit_backend: Optional[StorageBackend] = None,
         state_backend: Optional[StorageBackend] = None,
         durable_state: bool = False,
-        outcome_redelivery: bool = False,
     ) -> None:
         self.uri = uri
         self.display_name = display_name or uri
@@ -175,7 +174,6 @@ class Organisation:
             membership=self.membership,
             orphan_run_timeout=orphan_run_timeout,
             durable_state=durable_state,
-            outcome_redelivery=outcome_redelivery,
         )
 
         # -- container integration of the NR middleware ------------------------------------

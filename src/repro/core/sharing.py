@@ -93,6 +93,7 @@ from repro.errors import (
     EvidenceVerificationError,
     MembershipError,
     ProtocolError,
+    ReproError,
 )
 from repro.faults.breaker import STATE_OPEN as BREAKER_STATE_OPEN
 from repro.membership.service import Member, MembershipService
@@ -118,12 +119,18 @@ ACTION_OUTCOME = "outcome"
 ACTION_MEMBERSHIP_PROPOSE = "membership-propose"
 ACTION_MEMBERSHIP_OUTCOME = "membership-outcome"
 ACTION_ABORT = "abort"
+ACTION_CATCH_UP = "catch-up"
+
+#: Refusal reason prefix of a proposal whose base is not the replica's version.
+STALE_BASE = "stale base version"
 
 #: Outcome re-delivery backoff (seconds): the delay doubles per attempt from
-#: the base up to the cap; re-delivery itself is unbounded (it stops only on
-#: full acknowledgement or when the object advances past the outcome).
+#: the base up to the cap.  Re-delivery stops on full acknowledgement, when
+#: the object advances past the outcome, or after the attempt budget -- a
+#: straggler it never reached then catches itself up (``catch_up``).
 REDELIVERY_BASE_DELAY = 0.25
 REDELIVERY_MAX_DELAY = 5.0
+REDELIVERY_MAX_ATTEMPTS = 12
 
 #: Age (seconds) past which a competing proposal may release a reservation
 #: when no ``orphan_run_timeout`` is configured.  It exceeds a round's
@@ -903,20 +910,13 @@ class B2BObjectController:
         membership: Optional[MembershipService] = None,
         orphan_run_timeout: Optional[float] = None,
         durable_state: bool = False,
-        outcome_redelivery: bool = False,
     ) -> None:
         self.party = party
         self._coordinator = coordinator
         self.membership = membership or MembershipService()
-        #: Persist every committed apply (version history plus the signed
-        #: outcome record) through the coordinator's state store, and resume
-        #: registration from that history after a restart instead of
-        #: re-registering from configuration.
+        #: Resume registration from the state store's agreed history after
+        #: a restart instead of re-registering from configuration.
         self.durable_state = durable_state
-        #: Re-deliver an undelivered outcome wave through the retry
-        #: scheduler (breaker-aware per peer) until every peer has
-        #: acknowledged it or the object advances past it.
-        self.outcome_redelivery = outcome_redelivery
         #: Responder-side proposal-age expiry (seconds): a proposal whose
         #: outcome has not arrived within this window is treated as orphaned
         #: -- its proposer died or partitioned away -- and its responder
@@ -933,7 +933,7 @@ class B2BObjectController:
         self._applying_outcomes: set = set()
         # Outcome waves awaiting re-delivery, keyed by run id; each entry
         # holds the per-peer pending messages and the attempt counter that
-        # drives the backoff.
+        # drives the backoff and the budget.
         self._redeliveries: Dict[str, Dict[str, Any]] = {}
         self._redelivery_timers: Dict[str, TimerHandle] = {}
         self._objects: Dict[str, _SharedObject] = {}
@@ -1100,7 +1100,7 @@ class B2BObjectController:
                     return f"busy: {held.run_id}"
                 expired, shared.reservation = held, None
             if base_version is not None and base_version != shared.version:
-                refusal = f"stale base version {base_version} (current is {shared.version})"
+                refusal = f"{STALE_BASE} {base_version} (current is {shared.version})"
             else:
                 members = self.membership.member_uris(object_id)
                 shared.reservation = _Reservation(
@@ -1126,6 +1126,11 @@ class B2BObjectController:
                 return None
             shared.reservation = None
             return held
+
+    def held_reservations(self) -> List[str]:
+        """Run ids holding one of this replica's objects (sorted)."""
+        with self._lock:
+            return sorted(s.reservation.run_id for s in self._objects.values() if s.reservation)
 
     # -- proposing updates -------------------------------------------------------------
 
@@ -1221,61 +1226,34 @@ class B2BObjectController:
     # -- applying agreed updates ----------------------------------------------------------
 
     def _apply_update(
-        self,
-        object_id: str,
-        new_state: Any,
-        new_version: int,
-        outcome_record: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        shared = self._shared(object_id)
+        self, object_id: str, new_state: Any, new_version: int, run_id: str, outcome: Any
+    ) -> bool:
+        """Make ``new_state`` the agreed ``new_version``, if that is the next one.
+
+        An apply that lost a race -- a late wave, or a proposer whose own
+        version a peer's catch-up already brought it -- changes nothing.
+        """
         agreed_state = codec.canonicalize(new_state)
         with self._lock:
+            shared = self._objects.get(object_id)
+            if shared is None or new_version != shared.version + 1:
+                return False
             shared.state = agreed_state
             shared.version = new_version
             # Whatever run still held the object proposed at an older base.
             shared.reservation = None
             if shared.bound_instance is not None:
                 shared.bound_instance.set_state(shared.state_copy())
-        # Snapshot, history entry and durable outcome record: one write.
-        self._coordinator.services.state_store.record_version(
-            object_id,
-            agreed_state,
-            outcome_version=new_version,
-            outcome_record=outcome_record if self.durable_state else None,
-        )
-
-    def _build_outcome_record(
-        self,
-        run_id: str,
-        proposer: str,
-        object_id: str,
-        new_version: Optional[int],
-        outcome_payload: Any,
-        proposal: Any,
-        nr_outcome: EvidenceToken,
-        decision_tokens: List[EvidenceToken],
-    ) -> Optional[Dict[str, Any]]:
-        """The durable per-version record restart-time resync serves verbatim.
-
-        Carries everything a stale peer needs for a signature-checked
-        catch-up apply: the canonical outcome and proposal payloads plus the
-        evidence tokens as their cached canonical encodings, spliced into
-        the stored record (a reader gets token dictionaries already revived,
-        as from an evidence-store record).  ``None`` when durable state is
-        off -- callers pass the result straight to :meth:`_apply_update`.
-        """
-        if not self.durable_state:
-            return None
-        return {
-            "run_id": run_id,
-            "proposer": proposer,
-            "object_id": object_id,
-            "new_version": new_version,
-            "outcome": outcome_payload,
-            "proposal": proposal,
-            "nr_outcome": nr_outcome.data_encoded(),
-            "decisions": [token.data_encoded() for token in decision_tokens],
-        }
+            # Snapshot, history entry and the compact outcome record: one
+            # write, made under the lock so resync_records reads the version
+            # and the history as one.
+            self._coordinator.services.state_store.record_version(
+                object_id,
+                agreed_state,
+                outcome_version=new_version,
+                outcome_record={"run_id": run_id, "outcome": outcome},
+            )
+        return True
 
     def revert_component_state(self, object_id: str) -> None:
         """Push the agreed replica state back into the bound component."""
@@ -1478,12 +1456,10 @@ class B2BObjectController:
                     payload_digest(proposal), self.members(object_id), self.party,
                 )
             ):
-                record = self._build_outcome_record(
-                    run_id, self.party, object_id, new_version, committed.get("payload"),
-                    proposal, nr_outcome, decision_tokens,
+                applied = self._apply_update(
+                    object_id, proposal["proposed_state"], new_version, run_id,
+                    committed.get("payload"),
                 )
-                self._apply_update(object_id, proposal["proposed_state"], new_version, record)
-                applied = True
         self._release_reservation(object_id, run_id)
         services.audit_log.append(
             category=AUDIT_CATEGORY_SHARING,
@@ -1681,7 +1657,7 @@ class B2BObjectController:
 
     # -- proposer outcome re-delivery ------------------------------------------------
 
-    def _schedule_outcome_redelivery(
+    def _schedule_redelivery(
         self,
         run_id: str,
         object_id: str,
@@ -1691,15 +1667,18 @@ class B2BObjectController:
         """Queue an undelivered outcome wave for scheduler-driven re-delivery.
 
         Fires on the network's :class:`RetryScheduler` with exponential
-        backoff and no attempt cap: re-delivery stops only when every peer
-        has acknowledged its message or (for agreed updates) the object has
-        advanced past ``new_version`` -- stragglers then catch up through
-        resync instead.  Peers whose circuit breaker is open are skipped for
-        the attempt rather than burned against the half-open probe budget.
-        Re-sent messages keep their original message ids, so a peer the
-        journal recovery or a duplicate attempt already reached dedups them.
+        backoff: re-delivery stops when every peer has acknowledged its
+        message, when (for agreed updates) the object has advanced past
+        ``new_version``, or after ``REDELIVERY_MAX_ATTEMPTS`` attempts --
+        audited ``outcome-redelivery-abandoned``, so a peer that is gone for
+        good holds no timer.  A straggler it never reached catches itself up
+        (:meth:`catch_up`).  Peers whose circuit breaker is open are skipped
+        for the attempt rather than burned against the half-open probe
+        budget.  Re-sent messages keep their original message ids, so a
+        peer the journal recovery or a duplicate attempt already reached
+        dedups them.
         """
-        if not self.outcome_redelivery or not messages:
+        if not messages:
             return
         with self._lock:
             if run_id in self._redeliveries:
@@ -1728,24 +1707,32 @@ class B2BObjectController:
                 "peers": sorted(message.recipient for message in messages),
             },
         )
-        self._arm_redelivery(run_id, REDELIVERY_BASE_DELAY)
+        self._arm_redelivery(run_id, 0)
 
-    @staticmethod
-    def _redelivery_delay(attempts: int) -> float:
-        return min(REDELIVERY_BASE_DELAY * (2**attempts), REDELIVERY_MAX_DELAY)
-
-    def _arm_redelivery(self, run_id: str, delay: float) -> None:
+    def _arm_redelivery(self, run_id: str, attempts: int) -> bool:
+        """Arm attempt ``attempts + 1``; past the budget, drop the task instead."""
         scheduler = self._coordinator.network.retry_scheduler
         with self._lock:
-            if run_id not in self._redeliveries or run_id in self._redelivery_timers:
-                return
-            # Tagged like the orphan watch: party-qualified so one shared
-            # scheduler (simulated networks) never cross-cancels.
-            self._redelivery_timers[run_id] = scheduler.schedule(
-                delay,
-                lambda: self._fire_redelivery(run_id),
-                run_id=f"redeliver:{self.party}:{run_id}",
-            )
+            task = self._redeliveries.get(run_id)
+            if task is None or run_id in self._redelivery_timers:
+                return True
+            if attempts < REDELIVERY_MAX_ATTEMPTS:
+                # Tagged like the orphan watch: party-qualified so one shared
+                # scheduler (simulated networks) never cross-cancels.
+                self._redelivery_timers[run_id] = scheduler.schedule(
+                    min(REDELIVERY_BASE_DELAY * (2**attempts), REDELIVERY_MAX_DELAY),
+                    lambda: self._fire_redelivery(run_id),
+                    run_id=f"redeliver:{self.party}:{run_id}",
+                )
+                return True
+            del self._redeliveries[run_id]
+        self._coordinator.services.audit_log.append(
+            category=AUDIT_CATEGORY_SHARING,
+            subject=run_id,
+            details={"event": "outcome-redelivery-abandoned", "object_id": task["object_id"],
+                     "attempts": attempts, "unacked_peers": sorted(task["pending"])},
+        )
+        return False
 
     def _fire_redelivery(self, run_id: str) -> None:
         with self._lock:
@@ -1791,23 +1778,14 @@ class B2BObjectController:
             if span is not None:
                 span.end("superseded")
             return
+        # Peers whose breaker is open sit this attempt out (an empty fan-out
+        # completes at once and only counts the attempt).
         breaker = getattr(self._coordinator.network, "circuit_breaker", None)
         sendable = [
             message
             for peer, message in sorted(pending.items())
             if breaker is None or breaker.state(peer) != BREAKER_STATE_OPEN
         ]
-        if not sendable:  # every unacked peer's breaker is open; back off
-            with self._lock:
-                if run_id not in self._redeliveries:
-                    if span is not None:
-                        span.end("cancelled")
-                    return
-                self._redeliveries[run_id]["attempts"] = attempts + 1
-            self._arm_redelivery(run_id, self._redelivery_delay(attempts + 1))
-            if span is not None:
-                span.end("skipped")
-            return
         recipients = [message.recipient for message in sendable]
         with _span_scope(span):  # stamp the resent messages with this attempt
             fan_out = self._coordinator.send_all_async(sendable)
@@ -1842,25 +1820,18 @@ class B2BObjectController:
                 audit.append(
                     category=AUDIT_CATEGORY_SHARING,
                     subject=run_id,
-                    details={
-                        "event": "outcome-redelivered",
-                        "object_id": object_id,
-                        "peers": delivered,
-                        "unacked_peers": remaining,
-                    },
+                    details={"event": "outcome-redelivered", "object_id": object_id,
+                             "peers": delivered, "unacked_peers": remaining},
                 )
             if remaining:
-                self._arm_redelivery(run_id, self._redelivery_delay(attempts))
+                armed = self._arm_redelivery(run_id, attempts)
                 if span is not None:
-                    span.end("retry")
+                    span.end("retry" if armed else "abandoned")
                 return
             audit.append(
                 category=AUDIT_CATEGORY_SHARING,
                 subject=run_id,
-                details={
-                    "event": "outcome-redelivery-complete",
-                    "object_id": object_id,
-                },
+                details={"event": "outcome-redelivery-complete", "object_id": object_id},
             )
         if span is not None:
             span.end("ok")
@@ -1870,7 +1841,7 @@ class B2BObjectController:
         with self._lock:
             return sorted(self._redeliveries)
 
-    # -- restart-time resync (anti-entropy) ------------------------------------------
+    # -- catch-up: resync (anti-entropy) -------------------------------------------
 
     def resync_vector(self) -> Dict[str, Dict[str, Any]]:
         """Per-object ``{"version", "digest"}`` vector for anti-entropy compare."""
@@ -1885,60 +1856,89 @@ class B2BObjectController:
     def resync_records(
         self, object_id: str, from_version: int
     ) -> List[Dict[str, Any]]:
-        """Stored outcome records for every agreed version above ``from_version``.
+        """Signed catch-up records for every agreed version above ``from_version``.
 
-        Serves ``from_version + 1 .. current`` in order, stopping at the
-        first gap: a version this party applied without a durable outcome
-        record (durable state off at the time, or a membership bootstrap)
-        cannot be served signature-checked, and anything past the gap would
-        fail the receiver's version guard anyway.
+        Serves ``from_version + 1 .. current`` in order, each rebuilt from
+        what the replica keeps anyway: the version's compact ``{run_id,
+        outcome}`` record, the snapshot agreed as that version (the
+        proposal's state; the other proposal fields come from the outcome)
+        and the run's ``NR_OUTCOME`` and ``NR_DECISION`` evidence.  Stops at
+        the first version without a record (a membership bootstrap, or a
+        restart without durable state): anything past the gap would fail
+        the receiver's version guard anyway.
         """
-        if not self.durable_state or not self.is_shared(object_id):
+        if not self.is_shared(object_id):
             return []
-        state_store = self._coordinator.services.state_store
+        services = self._coordinator.services
+        state_store, evidence_store = services.state_store, services.evidence_store
+        with self._lock:
+            current = self._shared(object_id).version
+            # The last history entry is the current version; a member that
+            # joined later started its history at the version it joined at.
+            first = current + 1 - state_store.version_count(object_id)
         records: List[Dict[str, Any]] = []
-        current = self._shared(object_id).version
-        for version in range(from_version + 1, current + 1):
-            record = state_store.outcome_record(object_id, version)
-            if record is None or record.get("outcome") is None:
+        for version in range(max(from_version, first) + 1, current + 1):
+            stored = state_store.outcome_record(object_id, version) or {}
+            outcome, run_id = stored.get("outcome"), str(stored.get("run_id"))
+            tokens = {e.token["token_id"]: dict(e.token) for e in evidence_store.evidence_for_run(run_id)}
+            nr_outcomes, decisions = (
+                sorted((t for t in tokens.values() if t["token_type"] == kind.value),
+                       key=lambda token: (token["issuer"], token["token_id"]))
+                for kind in (TokenType.NR_OUTCOME, TokenType.NR_DECISION)
+            )
+            if outcome is None or not nr_outcomes:
                 break
-            records.append(record)
+            fields = codec.unwrap(outcome)
+            proposal = {key: fields.get(key) for key in ("object_id", "proposer", "base_version")}
+            proposal["proposed_state"] = state_store.state_at_version(object_id, version - first)
+            records.append({
+                "run_id": run_id, "proposer": fields.get("proposer"),
+                "object_id": fields.get("object_id"), "new_version": fields.get("new_version"),
+                "outcome": outcome, "proposal": proposal,
+                "nr_outcome": nr_outcomes[0], "decisions": decisions,
+            })
         return records
 
     def apply_resync_record(self, record: Dict[str, Any]) -> bool:
         """Apply one signature-checked catch-up record from a fresher peer.
 
         Exactly the live :meth:`handle_outcome` discipline, replayed from a
-        peer's durable store: the record's outcome must pass
+        peer's store: the record's outcome must pass
         :func:`~repro.core.agreement.agreement_proof` for the proposal it
         carries and the current members, the apply is version-guarded
         (``new_version == version + 1``), evidence lands with the same roles
-        a live wave would produce, and the record is re-persisted so a
-        transitively-stale third peer can pull it from here later.  Returns
-        ``True`` when the record advanced the replica.
+        a live wave would produce, and the apply writes this replica's own
+        outcome record, so a transitively-stale third peer can pull the
+        version from here later.  Returns ``True`` when the record advanced
+        the replica; one that does not decode, revive or prove is audited
+        ``resync-rejected`` -- the replica stays at its last good version.
+        The wire serves ``record`` as its canonical encoding.
         """
-        object_id = record.get("object_id")
-        if not object_id or not self.is_shared(object_id):
+        try:
+            if not isinstance(record, dict):
+                record = codec.decode(bytes(record))
+            object_id, new_version = record["object_id"], record["new_version"]
+            if not self.is_shared(object_id) or new_version != self.get_version(object_id) + 1:
+                return False
+            run_id, proposer, proposal = str(record["run_id"]), record["proposer"], record["proposal"]
+            digest, new_state = payload_digest(proposal), proposal["proposed_state"]
+            # Served tokens are revived dictionaries (EvidenceToken.from_stored).
+            nr_outcome, *decisions = (
+                EvidenceToken.from_dict(dict(token), revived=True)
+                for token in [record["nr_outcome"], *record["decisions"]]
+            )
+        except Exception as error:  # noqa: BLE001 - whatever a peer served
+            run_id = record.get("run_id") if isinstance(record, dict) else None
+            self._coordinator.services.audit_log.append(
+                category=AUDIT_CATEGORY_SHARING,
+                subject=str(run_id or "resync"),
+                details={"event": "resync-rejected", "reason": f"malformed record: {error!r}"},
+            )
             return False
-        run_id = str(record.get("run_id") or "")
-        proposer = record.get("proposer")
-        new_version = record.get("new_version")
-        proposal = record.get("proposal")
-        if not run_id or not proposal or new_version is None:
-            return False
-        if new_version != self._shared(object_id).version + 1:
-            return False
-        services = self._coordinator.services
-        # Stored records splice each token's canonical text, so decoding one
-        # has already revived the tokens' details (EvidenceToken.from_stored).
-        nr_outcome, *decisions = (
-            EvidenceToken.from_dict(dict(token or {}), revived=True)
-            for token in [record.get("nr_outcome")] + list(record.get("decisions") or [])
-        )
         members = self.members(object_id)
         if not self._proof_holds(
             run_id, object_id, record.get("outcome"), nr_outcome, decisions,
-            payload_digest(proposal), members, proposer,
+            digest, members, proposer, event="resync-rejected",
         ):
             return False
         # The resync apply joins the original run's trace (trace id == run
@@ -1968,8 +1968,8 @@ class B2BObjectController:
                         return False
                     kept = [t for t in decisions if t.issuer != proposer and t.issuer in members]
                     self._store_received(run_id, [nr_outcome] + kept)
-                    self._apply_update(object_id, proposal["proposed_state"], new_version, record)
-                services.audit_log.append(
+                    self._apply_update(object_id, new_state, new_version, run_id, record["outcome"])
+                self._coordinator.services.audit_log.append(
                     category=AUDIT_CATEGORY_SHARING,
                     subject=run_id,
                     details={
@@ -1984,6 +1984,49 @@ class B2BObjectController:
         finally:
             if span is not None:
                 span.end("ok" if applied else "skipped")
+
+    def catch_up(self, object_id: str, peer: str) -> int:
+        """Pull and apply the versions of ``object_id`` that ``peer`` is ahead by.
+
+        One sharing-protocol request through the coordinator, so it works
+        on either transport: the peer answers with its
+        :meth:`resync_records` past this replica's version (if this party
+        is a current member), and each is applied through
+        :meth:`apply_resync_record`.  Best effort: an unreachable peer
+        applies nothing.  Returns the number of versions applied.
+        """
+        if peer == self.party or not self.is_shared(object_id):
+            return 0
+        request = B2BProtocolMessage(
+            run_id=new_unique_id("catch-up"), protocol=NR_SHARING_PROTOCOL, step=1,
+            sender=self.party, recipient=peer, attributes={"action": ACTION_CATCH_UP},
+            payload={"object_id": object_id, "from_version": self.get_version(object_id)},
+            reply_to=self._coordinator.address,
+        )
+        try:
+            reply = self._coordinator.request(request)
+            records = list(reply.payload["records"])
+        except (ReproError, AttributeError, KeyError, TypeError) as error:  # no reply, or garbage
+            self._coordinator.services.audit_log.append(
+                category=AUDIT_CATEGORY_SHARING,
+                subject=object_id,
+                details={"event": "catch-up-failed", "peer": peer, "error": str(error)},
+            )
+            return 0
+        return sum(self.apply_resync_record(record) for record in records)
+
+    def _serve_catch_up(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
+        """Answer a member's :meth:`catch_up` request with its missing records."""
+        request = message.payload or {}
+        object_id = request.get("object_id")
+        member = self.is_shared(object_id) and self.membership.is_member(object_id, message.sender)
+        records = self.resync_records(object_id, int(request.get("from_version") or 0)) if member else []
+        return B2BProtocolMessage(
+            run_id=message.run_id, protocol=NR_SHARING_PROTOCOL, step=2,
+            sender=self.party, recipient=message.sender, attributes={"action": ACTION_CATCH_UP},
+            payload={"object_id": object_id, "records": records},
+            reply_to=self._coordinator.address,
+        )
 
     def note_resync_divergence(
         self, object_id: str, peer: str, version: int, remote_digest: str
@@ -2037,6 +2080,11 @@ class B2BObjectController:
                 token=nro_update,
                 role=services.evidence_store.ROLE_RECEIVED,
             )
+            base = proposal.get("base_version")
+            if type(base) is int and self.is_shared(object_id) and base > self.get_version(object_id):
+                # Missed a version the proposer holds: catch up from it before
+                # deciding (applying clears a stale reservation).
+                self.catch_up(object_id, message.sender)
             decision = self._validate_proposal(message.sender, proposal)
             if decision.accepted:
                 # Validators ran unlocked; only one accepting run per object
@@ -2120,7 +2168,7 @@ class B2BObjectController:
             return ValidationDecision(
                 accepted=False,
                 reason=(
-                    f"stale base version {proposal.get('base_version')} "
+                    f"{STALE_BASE} {proposal.get('base_version')} "
                     f"(current is {shared.version})"
                 ),
                 validator="controller",
@@ -2135,16 +2183,17 @@ class B2BObjectController:
         return shared.validators.validate(context)
 
     def _proof_holds(
-        self, run_id: str, object_id: str, *proof: Any, trusted: Optional[str] = None
+        self, run_id: str, object_id: str, *proof: Any, trusted: Optional[str] = None,
+        event: str = "outcome-rejected",
     ) -> bool:
-        """:func:`agreement_proof` for ``run_id``; a failure is audited."""
+        """:func:`agreement_proof` for ``run_id``; a failure is audited ``event``."""
         services = self._coordinator.services
         failure = agreement_proof(services.evidence_verifier, run_id, *proof, trusted=trusted)
         if failure is not None:
             services.audit_log.append(
                 category=AUDIT_CATEGORY_SHARING,
                 subject=run_id,
-                details={"event": "outcome-rejected", "object_id": object_id, "reason": failure},
+                details={"event": event, "object_id": object_id, "reason": failure},
             )
         return failure is None
 
@@ -2160,7 +2209,8 @@ class B2BObjectController:
         holds for the reserved proposal and sharing group (else it is audited
         ``outcome-rejected``); without a reservation -- a restarted replica,
         or one that never accepted -- it is audited ``outcome-unheld`` and
-        left to resync.  Whatever of the outcome verifies is kept.
+        the replica catches up from the sender.  Whatever of the outcome
+        verifies is kept.
         """
         outcome_payload, run_id, sender = message.payload, message.run_id, message.sender
         object_id = outcome_payload["object_id"]
@@ -2181,13 +2231,9 @@ class B2BObjectController:
             # The outcome and the decisions behind it are written in one
             # step, before the update they justify is applied.
             self._store_received(run_id, [nr_outcome] + kept)
-            if self.is_shared(object_id) and new_version == self.get_version(object_id) + 1:
-                record = self._build_outcome_record(
-                    run_id, sender, object_id, new_version, outcome_payload,
-                    held.proposal, nr_outcome, kept,
-                )
-                self._apply_update(object_id, held.proposal["proposed_state"], new_version, record)
-                applied = True
+            applied = self._apply_update(
+                object_id, held.proposal["proposed_state"], new_version, run_id, outcome_payload
+            )
         else:
             verdicts = self._coordinator.services.evidence_verifier.verify_all(
                 [(nr_outcome, {"expected_type": TokenType.NR_OUTCOME, "expected_run_id": run_id,
@@ -2218,6 +2264,8 @@ class B2BObjectController:
                     "rejected_decisions": rejected_decisions,
                 },
             )
+        if event == "outcome-unheld":
+            self.catch_up(object_id, sender)
 
     def handle_membership_proposal(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
         """Validate a proposed membership change and return a signed decision."""
@@ -2322,20 +2370,32 @@ class _UpdateRun(_CoordinationRun):
 
     def _phase1_messages(self) -> List[B2BProtocolMessage]:
         controller = self._controller
-        self._base_version = self._shared.version
-        # Encode once: the proposed state and the proposal envelope are
-        # canonicalised here and their (bytes, digest, size) shared by every
-        # evidence token, per-peer message and traffic account downstream.
-        self._proposal = codec.canonicalize(
-            {
-                "object_id": self.object_id,
-                "proposer": controller.party,
-                "base_version": self._base_version,
-                "proposed_state": codec.canonicalize(self._new_state),
-            }
-        )
-        if not self._reserved(self._base_version):  # re-checked under the object lock
-            return None
+        for attempt in range(2):
+            self._base_version = self._shared.version
+            # Encode once: the proposed state and the proposal envelope are
+            # canonicalised here and their (bytes, digest, size) shared by
+            # every evidence token, per-peer message and traffic account
+            # downstream.
+            self._proposal = codec.canonicalize(
+                {
+                    "object_id": self.object_id,
+                    "proposer": controller.party,
+                    "base_version": self._base_version,
+                    "proposed_state": codec.canonicalize(self._new_state),
+                }
+            )
+            if self._reserved(self._base_version):  # re-checked under the object lock
+                break
+            # Held by another party's run: if its outcome never reached this
+            # replica, catching up from its proposer once clears the hold.
+            held = self._shared.reservation
+            if (
+                attempt
+                or held is None
+                or held.proposer == controller.party
+                or not controller.catch_up(self.object_id, held.proposer)
+            ):
+                return None
         # Phase 1: collect signed decisions from every peer through one
         # batched fan-out.
         self._peers = controller.peers(self.object_id)
@@ -2422,25 +2482,22 @@ class _UpdateRun(_CoordinationRun):
             ]
         )
         if self._agreed:
-            outcome_record = controller._build_outcome_record(  # noqa: SLF001
-                run_id=self.run_id,
-                proposer=controller.party,
-                object_id=self.object_id,
-                new_version=self._new_version,
-                outcome_payload=self._outcome_payload,
-                proposal=self._proposal,
-                nr_outcome=self._nr_outcome,
-                decision_tokens=list(self._decision_tokens.values()),
-            )
             controller._apply_update(  # noqa: SLF001
                 self.object_id,
                 self._proposal["proposed_state"],
                 self._new_version,
-                outcome_record=outcome_record,
+                self.run_id,
+                self._outcome_payload,
             )
+        elif not self._degraded:
+            # Peers refused a stale base: this replica missed a version.
+            for peer, decision in self._decisions.items():
+                if not decision.accepted and str(decision.reason).startswith(STALE_BASE):
+                    if controller.catch_up(self.object_id, peer):
+                        break
         if undelivered_outcomes:
             missed = set(undelivered_outcomes)
-            controller._schedule_outcome_redelivery(  # noqa: SLF001
+            controller._schedule_redelivery(  # noqa: SLF001
                 self.run_id,
                 self.object_id,
                 self._new_version,
@@ -2608,7 +2665,7 @@ class _MembershipRun(_CoordinationRun):
             # partial membership failures keep their existing semantics (a
             # connect whose new member was unreachable already demoted to
             # not-agreed above).
-            controller._schedule_outcome_redelivery(  # noqa: SLF001
+            controller._schedule_redelivery(  # noqa: SLF001
                 self.run_id, self.object_id, None, list(self._outcome_wave)
             )
         services.audit_log.append(
@@ -2660,6 +2717,8 @@ class SharingProtocolHandler(B2BProtocolHandler):
 
     def process_request(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
         action = message.attributes.get("action")
+        if action == ACTION_CATCH_UP:  # a read: no run state, safe to re-serve
+            return self._controller._serve_catch_up(message)  # noqa: SLF001
         run = self._run_for(message)
         if not run.record_message(message):
             # A transport duplicate, or the sender's retry of a request whose

@@ -93,8 +93,6 @@ class TrustDomain:
         storage: Optional[str] = None,
         peering: Optional[PeeringConfig] = None,
         durable_state: bool = False,
-        outcome_redelivery: bool = False,
-        resync_on_connect: bool = False,
         config: Optional[DomainConfig] = None,
     ) -> "TrustDomain":
         """Build a trust domain of the requested style for ``party_uris``.
@@ -149,6 +147,13 @@ class TrustDomain:
         ``orphan_run_timeout`` (seconds) arms the responder-side
         proposal-age expiry: a proposal whose outcome never arrives is
         garbage-collected instead of stranding run state forever.
+        ``durable_state`` keeps each organisation's agreed history on the
+        storage profile and resumes shared objects at their recorded
+        version after a restart.  Recovery needs no switch: a proposer
+        re-delivers an outcome wave a peer missed (a bounded number of
+        times), wire peers resync at every introduction, and a replica
+        that learns it is behind catches itself up from a peer that is
+        ahead.
         ``keypair_factory`` maps a party URI to the key pair it should use
         -- a restarted process must present the *same* key its peers pinned
         (wire key pinning is trust-on-first-use), so durable deployments
@@ -181,8 +186,6 @@ class TrustDomain:
                 storage=storage,
                 peering=peering,
                 durable_state=durable_state,
-                outcome_redelivery=outcome_redelivery,
-                resync_on_connect=resync_on_connect,
             )
         else:
             # A config fully describes the deployment; a non-default flat
@@ -212,8 +215,6 @@ class TrustDomain:
                     "storage": (storage, None),
                     "peering": (peering, None),
                     "durable_state": (durable_state, False),
-                    "outcome_redelivery": (outcome_redelivery, False),
-                    "resync_on_connect": (resync_on_connect, False),
                 }.items()
                 if value != default
             )
@@ -279,7 +280,6 @@ class TrustDomain:
                 audit_backend=audit_factory(uri) if audit_factory else None,
                 state_backend=state_factory(uri) if state_factory else None,
                 durable_state=config.durability.durable_state,
-                outcome_redelivery=config.durability.outcome_redelivery,
             )
         # Everybody learns everybody's keys (credential exchange).
         organisations = list(domain.organisations.values())
@@ -376,7 +376,6 @@ class TrustDomain:
                 audit_backend=audit_factory(uri) if audit_factory else None,
                 state_backend=state_factory(uri) if state_factory else None,
                 durable_state=config.durability.durable_state,
-                outcome_redelivery=config.durability.outcome_redelivery,
             )
         # Local parties exchange credentials directly; publishing them on
         # the transport makes them introducible to (and by) peer processes.
@@ -387,15 +386,6 @@ class TrustDomain:
                     org.trust(other)
         for org in organisations:
             transport.publish(org)
-        if config.durability.resync_on_connect:
-            # Anti-entropy rides every introduction from here on: each
-            # (re)connect and credential re-exchange compares per-object
-            # (version, digest) vectors and the stale side pulls the
-            # missing signed outcomes.  Objects are usually registered
-            # *after* create() (share_object), so a restarted process also
-            # calls transport.resync_with_peers() once its replicas are
-            # resumed -- see Organisation.share_object's resume path.
-            transport.resync_on_connect = True
         if transport.peer_manager is not None:
             # Lazy peering: skip the eager exchange.  First contact with a
             # peer resolves credentials and a route through the channel

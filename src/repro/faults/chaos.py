@@ -71,19 +71,29 @@ OBJECT_ID = "chaos-doc"
 SIDE_OBJECT_ID = "chaos-side"
 
 
-def _rejected_outcomes(organisations) -> List[str]:
-    """``party:event:run`` per rejected outcome or expired reservation.
+def _rejected_outcomes(organisations, settled: bool = True) -> List[str]:
+    """``party:event:run`` per rejected outcome or expired reservation, and
+    -- on ``settled`` replicas -- per reservation still held or outcome
+    re-delivery still pending.
 
-    Every party here is honest and stays up, so neither may happen: resync
-    would heal the replica later and hide an over-strict agreement proof (or
-    a too-short orphan timeout) from every other check.
+    Every party here is honest and stays up, so none of it may happen:
+    catch-up would heal the replica later and hide an over-strict agreement
+    proof (or a too-short orphan timeout) from every other check, and a
+    healed replica holds no run and owes no peer an outcome.
     """
-    return [
+    problems = [
         f"{organisation.uri}:{record.details['event']}:{record.subject}"
         for organisation in organisations
         for record in organisation.audit_records(category=AUDIT_CATEGORY_SHARING)
         if record.details.get("event") in ("outcome-rejected", "orphan-run-expired")
     ]
+    for organisation in organisations if settled else ():
+        controller = organisation.controller
+        problems += [f"{organisation.uri}:reservation-held:{run_id}"
+                     for run_id in controller.held_reservations()]
+        problems += [f"{organisation.uri}:redelivery-pending:{run_id}"
+                     for run_id in controller.pending_redeliveries()]
+    return problems
 
 
 def standard_chaos_plan(seed: int) -> FaultPlan:
@@ -450,9 +460,9 @@ def _require(condition: bool, message: str) -> None:
         raise SelfHealingScenarioError(message)
 
 
-def _require_honest(organisations) -> None:
-    rejected = _rejected_outcomes(organisations)
-    _require(not rejected, f"honest replicas rejected outcomes: {rejected!r}")
+def _require_honest(organisations, settled: bool = True) -> None:
+    rejected = _rejected_outcomes(organisations, settled)
+    _require(not rejected, f"honest replicas did not settle cleanly: {rejected!r}")
 
 
 class _SimulatedCrash(Exception):
@@ -520,26 +530,6 @@ class SelfHealingReport:
         return not self.mismatches()
 
 
-def _resync_from(stale, fresh) -> int:
-    """Controller-level anti-entropy pull (the simulator has no transport).
-
-    The in-process analogue of the wire node's resync exchange: compare
-    per-object vectors, pull the missing signed outcome records from the
-    fresher controller, apply them signature-checked and version-guarded.
-    """
-    applied = 0
-    for object_id, remote in fresh.resync_vector().items():
-        if not stale.is_shared(object_id):
-            continue
-        local_version = stale.get_version(object_id)
-        if remote["version"] <= local_version:
-            continue
-        for record in fresh.resync_records(object_id, local_version):
-            if stale.apply_resync_record(dict(record)):
-                applied += 1
-    return applied
-
-
 def _simulated_self_healing(seed: int, storage_uri: str) -> Dict[str, Any]:
     from repro.crypto.signature import get_scheme
 
@@ -559,7 +549,6 @@ def _simulated_self_healing(seed: int, storage_uri: str) -> Dict[str, Any]:
             storage=storage_uri,
             durable_runs=True,
             durable_state=True,
-            outcome_redelivery=True,
             keypair_factory=lambda uri: keypairs[uri],
         )
 
@@ -636,12 +625,12 @@ def _simulated_self_healing(seed: int, storage_uri: str) -> Dict[str, Any]:
         resumed_version == 1,
         f"durable resume landed at version {resumed_version}, wanted 1",
     )
-    applied = _resync_from(
-        victim.controller, second.organisation(proposer_uri).controller
-    )
+    # The simulator's analogue of the wire victim's reconnect resync.
+    applied = victim.controller.catch_up(OBJECT_ID, proposer_uri)
     confirm = victim.propose_update(OBJECT_ID, values["confirm"])
     _require(confirm.agreed, "confirm update did not agree after resync")
-    _require_honest([*first.organisations.values(), *second.organisations.values()])
+    _require_honest(first.organisations.values(), settled=False)  # crashed world
+    _require_honest(second.organisations.values())
 
     labelled = {
         "bootstrap": bootstrap.run_id,
@@ -723,8 +712,6 @@ def _victim_domain(directory: Path, storage_kind: str):
         storage=_self_healing_profile(storage_kind, directory, "victim"),
         durable_runs=True,
         durable_state=True,
-        outcome_redelivery=True,
-        resync_on_connect=True,
         keypair_factory=lambda uri: keypair,
     )
     return domain, transport, endpoint
@@ -797,8 +784,8 @@ def _victim_recover(directory: Path, seed: int, storage_kind: str) -> None:
     )
     (crashed_run_id,) = actions
 
-    # Reconnect: anti-entropy rides the re-introduction (resync_on_connect),
-    # pulling the version agreed while this replica was dead.
+    # Reconnect: anti-entropy rides every introduction, pulling the version
+    # agreed while this replica was dead.
     transport.introduce_to(endpoint["host"], endpoint["port"])
     _require(
         organisation.shared_version(OBJECT_ID) == 2,
@@ -916,8 +903,6 @@ def _wired_self_healing(
             storage=_self_healing_profile(storage_kind, directory, "host"),
             durable_runs=True,
             durable_state=True,
-            outcome_redelivery=True,
-            resync_on_connect=True,
         )
         (directory / "host.json").write_text(
             json.dumps({"host": transport.host, "port": transport.port})

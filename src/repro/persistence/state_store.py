@@ -17,15 +17,19 @@ The version history is itself durable.  Key layout in the backing
     the digest agreed as that version -- one small entry per version, so
     recording a version costs the same at version 1 and at version 10 000;
 ``state:{owner}:outcome:{object_id}:{version}``
-    the signed *outcome record* that produced the version, which is what
-    restart-time resync serves to stale peers: the full outcome payload plus
-    evidence tokens, so a catch-up apply is signature-checked exactly like a
-    live one.
+    the compact *outcome record* ``{run_id, outcome}`` of the run that
+    agreed the version (about 0.7 kB for eight parties).  Catch-up serves
+    stale peers a signed record rebuilt from it: the proposal from this
+    version's snapshot and the outcome payload, the tokens from the run's
+    evidence -- each fact is stored once.  A record in the earlier layout
+    (the whole served record) still reads: only its ``run_id`` and
+    ``outcome`` are used.
 
 Write-path contract: :meth:`StateStore.record_version` writes the snapshot,
 the history entry and (when given) the outcome record in that order through
 one ``put_many`` into the storage step (:mod:`repro.persistence.storage`),
-which commits them with the evidence that justifies them.  Reopening the store against the same backend rebuilds the
+which commits them with the evidence that justifies them.  Reopening the
+store against the same backend rebuilds the
 history from a prefix scan of the history entries — so a restarted replica
 resumes each shared object at its last *agreed* version instead of
 re-registering from configuration.
@@ -150,12 +154,10 @@ class StateStore:
     ) -> Tuple[int, bytes]:
         """Record ``state`` as the next agreed version of ``object_id``.
 
-        ``outcome_record`` -- when given -- is the signed outcome that agreed
-        this state, persisted under ``outcome_version`` in the same backend
-        write: everything a stale peer needs for a signature-checked catch-up
-        apply (run id, proposer, canonical proposal and outcome payloads,
-        evidence tokens in dictionary form), which restart-time resync serves
-        verbatim.  Returns ``(version_number, digest)``.
+        ``outcome_record`` -- when given -- is the compact ``{run_id,
+        outcome}`` record of the run that agreed this state, persisted under
+        ``outcome_version`` in the same backend write.  Returns
+        ``(version_number, digest)``.
         """
         digest, snapshot = self._snapshot_item(state)
         with self._lock:

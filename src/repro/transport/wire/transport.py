@@ -42,8 +42,8 @@ from repro.clock import Clock
 from repro.crypto.keys import PublicKey
 from repro.errors import (
     DeliveryError,
-    EvidenceVerificationError,
     ProtocolError,
+    ReproError,
     UnknownEndpointError,
 )
 from repro.peering import PeerChannel, PeerChannelManager, PeeringPolicy
@@ -123,11 +123,6 @@ class WireTransport:
         # the handlers answer with a *retryable* error, so such a peer
         # simply tries again instead of seeing a permanent failure.
         self._ready = False
-        #: When set (see ``DomainConfig.durability.resync_on_connect``),
-        #: every successful introduction is followed by one anti-entropy
-        #: round trip with the peer node, so replicas that went stale while
-        #: disconnected converge as part of reconnecting.
-        self.resync_on_connect = False
         self.peer_manager: Optional[PeerChannelManager] = None
         self.network = WireNetwork(
             host=host,
@@ -372,9 +367,12 @@ class WireTransport:
     def introduce_to(self, host: str, port: int, timeout: Optional[float] = None) -> None:
         """Push this process's credentials to the peer node at ``host:port``.
 
-        One round trip also absorbs whatever the peer has published so far.
-        Retries (the peer process may still be starting) until ``timeout``
-        (default :attr:`credential_timeout`) wall-clock seconds elapse.
+        One round trip also absorbs whatever the peer has published so far,
+        and one anti-entropy round (:meth:`resync_with`) follows, so
+        replicas that went stale on either side while disconnected converge
+        as the two processes reconnect.  Retries (the peer process may
+        still be starting) until ``timeout`` (default
+        :attr:`credential_timeout`) wall-clock seconds elapse.
         """
         deadline = time.monotonic() + (
             self.credential_timeout if timeout is None else timeout
@@ -390,14 +388,10 @@ class WireTransport:
                 time.sleep(_EXCHANGE_RETRY_SECONDS)
                 continue
             self._absorb((reply or {}).get("credentials", []))
-            if self.resync_on_connect:
-                # Anti-entropy rides the (re)introduction: replicas that
-                # went stale on either side converge right as the two
-                # processes reconnect.
-                try:
-                    self.resync_with(host, port)
-                except DeliveryError:
-                    pass  # peer vanished mid-handshake; next reconnect resyncs
+            try:
+                self.resync_with(host, port)
+            except (ReproError, AttributeError, KeyError, TypeError, ValueError):
+                pass  # the peer vanished or answered garbage; next reconnect resyncs
             return
 
     def exchange(self, remote_parties: List[str], timeout: Optional[float] = None) -> None:
@@ -509,26 +503,18 @@ class WireTransport:
         """Apply served records to every stale local replica; counts applies.
 
         Each apply is signature-checked and version-guarded by the
-        controller (:meth:`B2BObjectController.apply_resync_record`); a
-        record that fails verification stops that replica's catch-up at the
-        last good version instead of poisoning it.
+        controller (:meth:`B2BObjectController.apply_resync_record`): a
+        record that does not decode, revive or prove is audited
+        ``resync-rejected`` and the version guard stops that replica's
+        catch-up at the last good version instead of poisoning it.
         """
         with self._lock:
             orgs = list(self._local_orgs)
         applied = 0
-        for object_id in sorted(records or {}):
-            decoded = [codec.decode(raw) for raw in records[object_id]]
-            decoded.sort(key=lambda record: int(record.get("new_version") or 0))
+        for object_id, served in sorted(records.items() if isinstance(records, dict) else ()):
             for org in orgs:
-                controller = org.controller
-                if not controller.is_shared(object_id):
-                    continue
-                for record in decoded:
-                    try:
-                        if controller.apply_resync_record(dict(record)):
-                            applied += 1
-                    except EvidenceVerificationError:
-                        break
+                if org.controller.is_shared(object_id):
+                    applied += sum(map(org.controller.apply_resync_record, served or ()))
         return applied
 
     def _handle_resync(self, payload: Any) -> Dict[str, Any]:
@@ -575,8 +561,8 @@ class WireTransport:
         The restart-time entry point: a recovering process registers its
         objects (resuming their durable versions), replays its run journal,
         then calls this to pull whatever was agreed while it was down.
-        Unreachable peers are skipped -- the next reconnect's automatic
-        resync (see ``resync_on_connect``) is the backstop.
+        Unreachable peers are skipped -- the resync that rides the next
+        reconnect (see :meth:`introduce_to`) is the backstop.
         """
         with self._lock:
             addresses = sorted(set(self._remote_addresses.values()))

@@ -398,22 +398,25 @@ class TestStepsBelongToThreads:
 
 class TestOutcomeRecordsRideOnBytes:
     def test_stored_bytes_are_those_of_the_dictionary_form(self):
-        domain = TrustDomain.create(
-            uris(3), config=DomainConfig(durability=DurabilityConfig(durable_state=True))
-        )
+        parties = uris(8)
+        domain = TrustDomain.create(parties, config=DomainConfig())
         domain.share_object(OBJECT_ID, {"n": 0})
-        proposer = domain.organisation(uris(3)[0])
+        proposer = domain.organisation(parties[0])
         outcome = proposer.propose_update(OBJECT_ID, {"n": 1})
         tokens = outcome.evidence
         record = proposer.state_store.outcome_record(OBJECT_ID, 1)
-        assert record["nr_outcome"] == tokens[TokenType.NR_OUTCOME.value].to_dict()
-        assert record["decisions"] == [
-            tokens[f"{TokenType.NR_DECISION.value}:{uri}"].to_dict() for uri in uris(3)[1:]
-        ]
+        assert record == {"run_id": outcome.run_id, "outcome": record["outcome"]}
         stored = proposer.state_store._backend.get(  # noqa: SLF001
             f"state:{proposer.uri}:outcome:{OBJECT_ID}:1"
         )
-        assert stored == codec.encode(record)  # splicing the tokens re-encoded nothing
+        assert stored == codec.encode(record) and len(stored) <= 800
+        # What resync serves is rebuilt from the snapshot and the evidence.
+        (served,) = proposer.controller.resync_records(OBJECT_ID, 0)
+        assert served["nr_outcome"] == tokens[TokenType.NR_OUTCOME.value].to_dict()
+        assert served["decisions"] == sorted(
+            (tokens[f"{TokenType.NR_DECISION.value}:{uri}"].to_dict() for uri in parties[1:]),
+            key=lambda token: (token["issuer"], token["token_id"]),
+        )
 
     @pytest.mark.parametrize("kind", ["memory", "sqlite"])
     def test_a_record_whose_tokens_have_tag_shaped_details_resyncs(

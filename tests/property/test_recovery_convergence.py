@@ -1,6 +1,6 @@
 """Healing-path convergence: an outcome-excluded peer always catches up.
 
-One fixture, three independent healing mechanisms.  A 3-party domain agrees
+One fixture, three independent healing mechanisms, none of them configured.  A 3-party domain agrees
 an update whose outcome wave is severed to the last peer right at the
 commit barrier -- every member decided (agreement is unanimous), the
 proposer and the middle responder apply the new version, and the excluded
@@ -40,8 +40,6 @@ def _build(orphan_timeout: float = 10_000.0) -> TrustDomain:
         URIS,
         scheme="hmac",
         clock=SimulatedClock(),
-        durable_state=True,
-        outcome_redelivery=True,
         orphan_run_timeout=orphan_timeout,
     )
 
@@ -274,7 +272,7 @@ def test_orphan_expiry_cancels_while_outcome_application_in_progress():
     _assert_converged(domain, outcome.run_id)
 
 
-# -- each recovery feature acts on its own: nothing else has to be switched on -------
+# -- each recovery feature acts on its own: nothing has to be switched on ------------
 
 
 def _domain_with(durability: DurabilityConfig) -> TrustDomain:
@@ -288,8 +286,8 @@ def _domain_with(durability: DurabilityConfig) -> TrustDomain:
     )
 
 
-def test_outcome_redelivery_alone_redelivers_and_converges():
-    domain = _domain_with(DurabilityConfig(outcome_redelivery=True))
+def test_a_default_domain_redelivers_and_converges():
+    domain = _domain_with(DurabilityConfig())
     outcome = _excluded_wave(domain)
 
     _heal_via_redelivery(domain, outcome)

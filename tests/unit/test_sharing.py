@@ -77,8 +77,9 @@ class TestAgreedUpdates:
         # and NR_outcome before the outcome does.  Each responder: NRO_update
         # with its decision, then the outcome with both decisions.
         assert evidence == [1, 2, 2, 3, 3, 3]
-        # Each replica applies with one write: snapshot + history entry.
-        assert [batch for batch in batches if batch[0] == "state"] == [["state"] * 2] * 3
+        # Each replica applies with one write: snapshot + history entry +
+        # compact outcome record.
+        assert [batch for batch in batches if batch[0] == "state"] == [["state"] * 3] * 3
         for org in (b, c):
             records = org.evidence_for_run(outcome.run_id)
             assert [r.token_type for r in records] == [
