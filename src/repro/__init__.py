@@ -329,14 +329,17 @@ always on:
   based ahead of it, an ``outcome-unheld`` outcome, a foreign reservation
   blocking its own proposal, or a ``stale base`` refusal -- pulls what it
   missed with ``catch_up(object_id, peer)``: one sharing-protocol request
-  on either transport, served to current members only.  Records apply
-  version-guarded once the agreement proof holds (``resync-applied``); one
-  that does not decode, revive or prove is audited ``resync-rejected``.
-  Wire processes also compare per-object ``(version, digest)`` vectors at
-  every ``introduce_to`` (``resync_with`` / ``resync_with_peers``), so a
-  restarted replica -- resumed at its recorded version when
+  on either transport, signed by the requester (``NRO_CATCH_UP``) and
+  served to current members only; the tokens served are the ones that
+  prove the outcome, whatever else the store holds for the run.  Records
+  apply version-guarded once the agreement proof holds
+  (``resync-applied``); one that does not decode, revive or prove is
+  audited ``resync-rejected``.  Every wire ``introduce_to`` runs the same
+  catch-up against the members the peer hosts (``resync_with_peers``), so
+  a restarted replica -- resumed at its recorded version when
   ``durable_state=True`` (``object-resumed``) -- converges as it
-  reconnects; same-version mismatches audit ``resync-divergence``.
+  reconnects; a member found at the server's version with another digest
+  is audited ``resync-divergence``.
 
 Responder-side orphan GC (above) composes with all three: an expiry racing
 a late outcome application cancels itself (audited

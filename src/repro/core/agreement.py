@@ -3,15 +3,16 @@ signed evidence, every other member agreed to.
 
 :func:`agreement_proof` is that rule as one pure function;
 :func:`decision_payload` builds the ``NR_DECISION`` body a responder signs
-from the template the proof rebuilds it with.
+from the template the proof rebuilds it with, and :func:`proving_tokens`
+picks, out of whatever a store holds for a run, the tokens a proof needs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import codec
-from repro.core.evidence import EvidenceToken, EvidenceVerifier, TokenType
+from repro.core.evidence import EvidenceToken, EvidenceVerifier, TokenType, payload_digest
 from repro.core.validators import ValidationDecision
 from repro.crypto.hashing import secure_hash
 from repro.errors import EvidenceVerificationError
@@ -113,3 +114,37 @@ def agreement_proof(
         except EvidenceVerificationError as error:
             return f"decision evidence from {member} invalid: {error}"
     return None
+
+
+def proving_tokens(run_id: str, outcome: Any, tokens: Iterable[Mapping[str, Any]]) -> Tuple[
+    Optional[Mapping[str, Any]], List[Mapping[str, Any]]
+]:
+    """The tokens (stored dictionary forms) that prove ``outcome`` for ``run_id``.
+
+    That is the proposer's ``NR_OUTCOME`` over exactly ``outcome`` and, for
+    each other party in its ``decisions`` map, the ``NR_DECISION`` whose
+    payload is that entry rebuilt through the proof's template -- one per
+    issuer, so other tokens a store holds for the run (another party's
+    outcome, a decision on something else) are never picked.  Signatures
+    are left to the proof.  Returns ``(nr_outcome or None, decisions)``.
+    """
+    fields = codec.unwrap(outcome)
+    decisions = fields.get("decisions") if isinstance(fields, dict) else None
+    if not isinstance(decisions, dict):
+        return None, []
+    proposer = fields.get("proposer")
+    text = _decision_template(
+        fields.get("object_id"), run_id, True, str(fields.get("proposed_state_digest"))
+    )
+    wanted = {(TokenType.NR_OUTCOME.value, proposer): payload_digest(outcome).hex()}
+    for member, entry in decisions.items():
+        if member != proposer and isinstance(entry, dict):
+            payload = text(entry.get("reason"), member, entry.get("validator"))
+            wanted[TokenType.NR_DECISION.value, member] = secure_hash(payload.encode("utf-8")).hex()
+    chosen: Dict[Tuple[Any, Any], Mapping[str, Any]] = {}
+    for token in tokens:
+        key = (token.get("token_type"), token.get("issuer"))
+        if key in wanted and wanted[key] == token.get("payload_digest"):
+            chosen.setdefault(key, token)
+    nr_outcome = chosen.pop((TokenType.NR_OUTCOME.value, proposer), None)
+    return nr_outcome, [chosen[key] for key in sorted(chosen)]

@@ -93,7 +93,7 @@ class DurabilityConfig:
     at their recorded version instead of re-registering from
     configuration.  Recovery itself is not configured: every agreed
     version keeps its outcome record, a proposer re-delivers an
-    undelivered outcome wave, wire peers resync at every introduction,
+    undelivered outcome wave, wire peers catch up at every introduction,
     and a stale replica catches itself up from a peer that is ahead.
     """
 

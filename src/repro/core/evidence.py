@@ -47,6 +47,7 @@ class TokenType(Enum):
     NR_DECISION = "nr-decision"            # a member's validation decision on an update
     NR_OUTCOME = "nr-outcome"              # the collective decision on an update
     NR_MEMBERSHIP = "nr-membership"        # agreement to a membership change
+    NRO_CATCH_UP = "nro-catch-up"          # origin of a member's request for missed versions
     TTP_RELAY = "ttp-relay"                # TTP's record of having relayed a message
     TTP_AFFIDAVIT = "ttp-affidavit"        # TTP-generated substitute evidence (resolve)
     TTP_ABORT = "ttp-abort"                # TTP-signed abort of a protocol run

@@ -76,7 +76,7 @@ from repro.container.interceptor import (
     InvocationResult,
     NextInterceptor,
 )
-from repro.core.agreement import agreement_proof, decision_payload
+from repro.core.agreement import agreement_proof, decision_payload, proving_tokens
 from repro.core.coordinator import B2BCoordinator
 from repro.core.evidence import EvidenceToken, TokenType, payload_digest
 from repro.core.messages import B2BProtocolMessage
@@ -1843,16 +1843,6 @@ class B2BObjectController:
 
     # -- catch-up: resync (anti-entropy) -------------------------------------------
 
-    def resync_vector(self) -> Dict[str, Dict[str, Any]]:
-        """Per-object ``{"version", "digest"}`` vector for anti-entropy compare."""
-        return {
-            object_id: {
-                "version": self._shared(object_id).version,
-                "digest": self.state_digest(object_id).hex(),
-            }
-            for object_id in self.object_ids()
-        }
-
     def resync_records(
         self, object_id: str, from_version: int
     ) -> List[Dict[str, Any]]:
@@ -1862,7 +1852,8 @@ class B2BObjectController:
         what the replica keeps anyway: the version's compact ``{run_id,
         outcome}`` record, the snapshot agreed as that version (the
         proposal's state; the other proposal fields come from the outcome)
-        and the run's ``NR_OUTCOME`` and ``NR_DECISION`` evidence.  Stops at
+        and, of the run's evidence, the tokens that prove the outcome
+        (:func:`~repro.core.agreement.proving_tokens`).  Stops at
         the first version without a record (a membership bootstrap, or a
         restart without durable state): anything past the gap would fail
         the receiver's version guard anyway.
@@ -1880,13 +1871,12 @@ class B2BObjectController:
         for version in range(max(from_version, first) + 1, current + 1):
             stored = state_store.outcome_record(object_id, version) or {}
             outcome, run_id = stored.get("outcome"), str(stored.get("run_id"))
-            tokens = {e.token["token_id"]: dict(e.token) for e in evidence_store.evidence_for_run(run_id)}
-            nr_outcomes, decisions = (
-                sorted((t for t in tokens.values() if t["token_type"] == kind.value),
-                       key=lambda token: (token["issuer"], token["token_id"]))
-                for kind in (TokenType.NR_OUTCOME, TokenType.NR_DECISION)
+            if outcome is None:
+                break
+            nr_outcome, decisions = proving_tokens(
+                run_id, outcome, (record.token for record in evidence_store.evidence_for_run(run_id))
             )
-            if outcome is None or not nr_outcomes:
+            if nr_outcome is None:
                 break
             fields = codec.unwrap(outcome)
             proposal = {key: fields.get(key) for key in ("object_id", "proposer", "base_version")}
@@ -1895,7 +1885,7 @@ class B2BObjectController:
                 "run_id": run_id, "proposer": fields.get("proposer"),
                 "object_id": fields.get("object_id"), "new_version": fields.get("new_version"),
                 "outcome": outcome, "proposal": proposal,
-                "nr_outcome": nr_outcomes[0], "decisions": decisions,
+                "nr_outcome": dict(nr_outcome), "decisions": [dict(token) for token in decisions],
             })
         return records
 
@@ -1912,11 +1902,8 @@ class B2BObjectController:
         version from here later.  Returns ``True`` when the record advanced
         the replica; one that does not decode, revive or prove is audited
         ``resync-rejected`` -- the replica stays at its last good version.
-        The wire serves ``record`` as its canonical encoding.
         """
         try:
-            if not isinstance(record, dict):
-                record = codec.decode(bytes(record))
             object_id, new_version = record["object_id"], record["new_version"]
             if not self.is_shared(object_id) or new_version != self.get_version(object_id) + 1:
                 return False
@@ -1989,19 +1976,26 @@ class B2BObjectController:
         """Pull and apply the versions of ``object_id`` that ``peer`` is ahead by.
 
         One sharing-protocol request through the coordinator, so it works
-        on either transport: the peer answers with its
-        :meth:`resync_records` past this replica's version (if this party
-        is a current member), and each is applied through
-        :meth:`apply_resync_record`.  Best effort: an unreachable peer
-        applies nothing.  Returns the number of versions applied.
+        on either transport.  The request names this replica's version and
+        digest and carries its signed ``NRO_CATCH_UP`` token: the peer
+        answers with its :meth:`resync_records` past that version only if
+        the token proves the request comes from a current member.  Each
+        record is applied through :meth:`apply_resync_record`.  Best
+        effort: an unreachable peer applies nothing.  Returns the number of
+        versions applied.
         """
         if peer == self.party or not self.is_shared(object_id):
             return 0
+        run_id = new_unique_id("catch-up")
+        payload = {"object_id": object_id, "from_version": self.get_version(object_id),
+                   "digest": self.state_digest(object_id).hex()}
         request = B2BProtocolMessage(
-            run_id=new_unique_id("catch-up"), protocol=NR_SHARING_PROTOCOL, step=1,
+            run_id=run_id, protocol=NR_SHARING_PROTOCOL, step=1,
             sender=self.party, recipient=peer, attributes={"action": ACTION_CATCH_UP},
-            payload={"object_id": object_id, "from_version": self.get_version(object_id)},
-            reply_to=self._coordinator.address,
+            payload=payload, reply_to=self._coordinator.address,
+            tokens=[self._coordinator.services.evidence_builder.build(
+                TokenType.NRO_CATCH_UP, run_id, 1, peer, payload
+            )],
         )
         try:
             reply = self._coordinator.request(request)
@@ -2016,11 +2010,31 @@ class B2BObjectController:
         return sum(self.apply_resync_record(record) for record in records)
 
     def _serve_catch_up(self, message: B2BProtocolMessage) -> B2BProtocolMessage:
-        """Answer a member's :meth:`catch_up` request with its missing records."""
-        request = message.payload or {}
-        object_id = request.get("object_id")
-        member = self.is_shared(object_id) and self.membership.is_member(object_id, message.sender)
-        records = self.resync_records(object_id, int(request.get("from_version") or 0)) if member else []
+        """Answer a member's signed :meth:`catch_up` request with its missing records.
+
+        Anyone else -- an unsigned or forged request, a non-member -- gets
+        an empty answer.  A member at this replica's version with another
+        digest is audited ``resync-divergence``: catch-up only ever
+        advances a replica, it never overwrites one.
+        """
+        request, sender = message.payload, message.sender
+        token = message.token_of_type(TokenType.NRO_CATCH_UP.value)
+        try:
+            if token is None or token.recipient != self.party:
+                raise EvidenceVerificationError("no catch-up token addressed to this party")
+            self._coordinator.services.evidence_verifier.require_valid(
+                token, expected_type=TokenType.NRO_CATCH_UP, expected_run_id=message.run_id,
+                expected_payload=request, expected_issuer=sender,
+            )
+            object_id, version = request["object_id"], int(request["from_version"])
+            member = self.is_shared(object_id) and self.membership.is_member(object_id, sender)
+        except (ReproError, KeyError, TypeError, ValueError):  # whatever a caller sent
+            object_id, member = None, False
+        records = self.resync_records(object_id, version) if member else []
+        if member and version == self.get_version(object_id):
+            digest = str(request.get("digest"))
+            if digest != self.state_digest(object_id).hex():
+                self.note_resync_divergence(object_id, sender, version, digest)
         return B2BProtocolMessage(
             run_id=message.run_id, protocol=NR_SHARING_PROTOCOL, step=2,
             sender=self.party, recipient=message.sender, attributes={"action": ACTION_CATCH_UP},
@@ -2031,7 +2045,7 @@ class B2BObjectController:
     def note_resync_divergence(
         self, object_id: str, peer: str, version: int, remote_digest: str
     ) -> None:
-        """Audit a same-version digest mismatch found during anti-entropy.
+        """Audit a same-version digest mismatch a catch-up request revealed.
 
         Converge-never-diverge: resync only ever *advances* a replica along
         the agreed history, so two replicas disagreeing at the *same*

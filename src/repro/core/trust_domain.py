@@ -151,7 +151,7 @@ class TrustDomain:
         storage profile and resumes shared objects at their recorded
         version after a restart.  Recovery needs no switch: a proposer
         re-delivers an outcome wave a peer missed (a bounded number of
-        times), wire peers resync at every introduction, and a replica
+        times), wire peers catch up at every introduction, and a replica
         that learns it is behind catches itself up from a peer that is
         ahead.
         ``keypair_factory`` maps a party URI to the key pair it should use

@@ -784,8 +784,8 @@ def _victim_recover(directory: Path, seed: int, storage_kind: str) -> None:
     )
     (crashed_run_id,) = actions
 
-    # Reconnect: anti-entropy rides every introduction, pulling the version
-    # agreed while this replica was dead.
+    # Reconnect: every introduction catches the local replicas up, pulling
+    # the version agreed while this replica was dead.
     transport.introduce_to(endpoint["host"], endpoint["port"])
     _require(
         organisation.shared_version(OBJECT_ID) == 2,
@@ -797,12 +797,7 @@ def _victim_recover(directory: Path, seed: int, storage_kind: str) -> None:
         if record.details.get("event") == "resync-applied"
     )
     sweep = transport.resync_with_peers()
-    _require(
-        all(
-            counts == {"pulled": 0, "pushed": 0} for counts in sweep.values()
-        ),
-        f"resync was not idempotent after catch-up: {sweep!r}",
-    )
+    _require(sweep == 0, f"resync was not idempotent after catch-up: {sweep!r}")
 
     confirm = organisation.propose_update(OBJECT_ID, values["confirm"])
     _require(confirm.agreed, "confirm update did not agree after recovery")

@@ -37,13 +37,11 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import codec
 from repro.clock import Clock
 from repro.crypto.keys import PublicKey
 from repro.errors import (
     DeliveryError,
     ProtocolError,
-    ReproError,
     UnknownEndpointError,
 )
 from repro.peering import PeerChannel, PeerChannelManager, PeeringPolicy
@@ -133,8 +131,6 @@ class WireTransport:
             system_handlers={
                 "introduce": self._handle_introduce,
                 "credentials": self._handle_credentials,
-                "resync": self._handle_resync,
-                "resync-apply": self._handle_resync_apply,
             },
         )
         self._ready = True
@@ -198,7 +194,7 @@ class WireTransport:
             # send layer already owns retrying -- a 30s blocking loop here
             # (the eager exchange's courtesy for still-starting peers)
             # would stack under every channel-retry attempt.
-            self.introduce_to(hostport[0], hostport[1], timeout=0.0)
+            self._introduce(hostport[0], hostport[1], timeout=0.0)
             if not self.knows_party(destination):
                 raise DeliveryError(
                     f"peer at {hostport[0]}:{hostport[1]} has not published "
@@ -245,7 +241,7 @@ class WireTransport:
                 ) from None
             # Single attempt, like _resolve_peer_channel: the caller is a
             # mid-send route resolution whose retry policy lives above us.
-            self.introduce_to(hostport[0], hostport[1], timeout=0.0)
+            self._introduce(hostport[0], hostport[1], timeout=0.0)
         with self._lock:
             address = self._remote_addresses.get(party)
             if address is None:
@@ -367,12 +363,20 @@ class WireTransport:
     def introduce_to(self, host: str, port: int, timeout: Optional[float] = None) -> None:
         """Push this process's credentials to the peer node at ``host:port``.
 
-        One round trip also absorbs whatever the peer has published so far,
-        and one anti-entropy round (:meth:`resync_with`) follows, so
-        replicas that went stale on either side while disconnected converge
-        as the two processes reconnect.  Retries (the peer process may
-        still be starting) until ``timeout`` (default
-        :attr:`credential_timeout`) wall-clock seconds elapse.
+        One round trip also absorbs whatever the peer has published so far;
+        then every local replica catches up (:meth:`resync_with_peers`)
+        from the members the peer hosts, so a replica that went stale while
+        the two processes were disconnected converges as they reconnect.
+        Retries (the peer process may still be starting) until ``timeout``
+        (default :attr:`credential_timeout`) wall-clock seconds elapse.
+        """
+        self.resync_with_peers(self._introduce(host, port, timeout))
+
+    def _introduce(self, host: str, port: int, timeout: Optional[float] = None) -> List[str]:
+        """The credential round trip of :meth:`introduce_to`; returns the peer's parties.
+
+        Route resolution introduces through here: it runs inside a send, so
+        it must not issue protocol requests of its own.
         """
         deadline = time.monotonic() + (
             self.credential_timeout if timeout is None else timeout
@@ -387,12 +391,9 @@ class WireTransport:
                     raise
                 time.sleep(_EXCHANGE_RETRY_SECONDS)
                 continue
-            self._absorb((reply or {}).get("credentials", []))
-            try:
-                self.resync_with(host, port)
-            except (ReproError, AttributeError, KeyError, TypeError, ValueError):
-                pass  # the peer vanished or answered garbage; next reconnect resyncs
-            return
+            credentials = (reply or {}).get("credentials", [])
+            self._absorb(credentials)
+            return [credential["party"] for credential in credentials or []]
 
     def exchange(self, remote_parties: List[str], timeout: Optional[float] = None) -> None:
         """Learn every party in ``remote_parties``, introducing ourselves too.
@@ -422,7 +423,7 @@ class WireTransport:
                         "await_remote_credentials=False"
                     ) from None
                 try:
-                    self.introduce_to(hostport[0], hostport[1], timeout=0.0)
+                    self._introduce(hostport[0], hostport[1], timeout=0.0)
                 except DeliveryError:
                     pass  # peer still starting; retried below
             if all(self.knows_party(party) for party in remote_parties):
@@ -446,144 +447,33 @@ class WireTransport:
                 )
             time.sleep(_EXCHANGE_RETRY_SECONDS)
 
-    # -- restart-time resync (anti-entropy) ------------------------------------------
+    # -- restart-time catch-up ------------------------------------------------------
 
-    def _local_vectors(self) -> Dict[str, Dict[str, Dict[str, Any]]]:
-        """Per-local-party resync vectors: ``{party: {object: {version, digest}}}``."""
-        with self._lock:
-            orgs = list(self._local_orgs)
-        return {org.uri: org.controller.resync_vector() for org in orgs}
+    def resync_with_peers(self, parties: Optional[List[str]] = None) -> int:
+        """Catch every local replica up from the remote members ahead of it.
 
-    def _records_for_remote(
-        self, remote_vectors: Dict[str, Dict[str, Dict[str, Any]]]
-    ) -> Dict[str, List[bytes]]:
-        """Outcome records the remote replicas lack, per object id.
-
-        For every object a remote vector mentions, the lowest remote version
-        decides what to serve; any local controller that holds the missing
-        durable records supplies them (they carry the *proposer's* signed
-        evidence, so it does not matter which local replica serves them).
-        Records cross the wire as canonical-codec bytes: the receiver
-        decodes them to exactly the jsonable form its own store would have
-        produced, keeping signature checks byte-stable.  Same-version digest
-        mismatches are audited as divergence on the local side -- resync
-        only ever advances a replica, never overwrites one.
+        For each object a local organisation shares, asks each remote
+        member among ``parties`` (default: every remote party this process
+        has learned) for the versions it is missing, through
+        :meth:`B2BObjectController.catch_up` -- a signed sharing-protocol
+        request that peers answer for current members only, applied
+        proof-checked and version-guarded.  The restart-time entry point: a
+        recovering process registers its objects (resuming their durable
+        versions), replays its run journal, then calls this.  Unreachable
+        peers apply nothing.  Returns the number of versions applied.
         """
         with self._lock:
             orgs = list(self._local_orgs)
-        wanted: Dict[str, int] = {}
-        for remote_party, vector in (remote_vectors or {}).items():
-            for object_id, entry in (vector or {}).items():
-                version = int((entry or {}).get("version") or 0)
-                if object_id not in wanted or version < wanted[object_id]:
-                    wanted[object_id] = version
-                digest = str((entry or {}).get("digest") or "")
-                for org in orgs:
-                    controller = org.controller
-                    if (
-                        controller.is_shared(object_id)
-                        and controller.get_version(object_id) == version
-                        and controller.state_digest(object_id).hex() != digest
-                    ):
-                        controller.note_resync_divergence(
-                            object_id, remote_party, version, digest
-                        )
-        records: Dict[str, List[bytes]] = {}
-        for object_id, from_version in sorted(wanted.items()):
-            for org in orgs:
-                served = org.controller.resync_records(object_id, from_version)
-                if served:
-                    records[object_id] = [
-                        codec.encode(record) for record in served
-                    ]
-                    break
-        return records
-
-    def _apply_resync_records(self, records: Dict[str, List[bytes]]) -> int:
-        """Apply served records to every stale local replica; counts applies.
-
-        Each apply is signature-checked and version-guarded by the
-        controller (:meth:`B2BObjectController.apply_resync_record`): a
-        record that does not decode, revive or prove is audited
-        ``resync-rejected`` and the version guard stops that replica's
-        catch-up at the last good version instead of poisoning it.
-        """
-        with self._lock:
-            orgs = list(self._local_orgs)
+            remote = set(self._known_remote)
+        if parties is not None:
+            remote &= set(parties)
         applied = 0
-        for object_id, served in sorted(records.items() if isinstance(records, dict) else ()):
-            for org in orgs:
-                if org.controller.is_shared(object_id):
-                    applied += sum(map(org.controller.apply_resync_record, served or ()))
+        for org in orgs:
+            controller = org.controller
+            for object_id in controller.object_ids():
+                for party in sorted(remote.intersection(controller.members(object_id))):
+                    applied += controller.catch_up(object_id, party)
         return applied
-
-    def _handle_resync(self, payload: Any) -> Dict[str, Any]:
-        """Serve one anti-entropy compare: our vectors plus what the caller lacks."""
-        self._require_ready()
-        remote_vectors = (payload or {}).get("vectors") or {}
-        return {
-            "vectors": self._local_vectors(),
-            "records": self._records_for_remote(remote_vectors),
-        }
-
-    def _handle_resync_apply(self, payload: Any) -> Dict[str, Any]:
-        """Absorb records a fresher caller pushed for replicas we are behind on."""
-        self._require_ready()
-        applied = self._apply_resync_records((payload or {}).get("records") or {})
-        return {"applied": applied}
-
-    def resync_with(self, host: str, port: int) -> Dict[str, int]:
-        """One anti-entropy round with the node at ``host:port``.
-
-        Compares per-object ``(version, digest)`` vectors over the system
-        channel: whatever the peer is ahead on comes back and is applied
-        here (signature-checked, version-guarded), and whatever *we* are
-        ahead on is pushed to the peer in a follow-up ``resync-apply``.  One
-        initiator therefore converges both sides.  Returns the applied
-        counts as ``{"pulled": n, "pushed": m}``.
-        """
-        reply = self.network.system_request(
-            (host, port), "resync", {"vectors": self._local_vectors()}
-        )
-        pulled = self._apply_resync_records((reply or {}).get("records") or {})
-        push = self._records_for_remote((reply or {}).get("vectors") or {})
-        pushed = 0
-        if push:
-            apply_reply = self.network.system_request(
-                (host, port), "resync-apply", {"records": push}
-            )
-            pushed = int((apply_reply or {}).get("applied") or 0)
-        return {"pulled": pulled, "pushed": pushed}
-
-    def resync_with_peers(self) -> Dict[str, Dict[str, int]]:
-        """Run one anti-entropy round with every known peer process.
-
-        The restart-time entry point: a recovering process registers its
-        objects (resuming their durable versions), replays its run journal,
-        then calls this to pull whatever was agreed while it was down.
-        Unreachable peers are skipped -- the resync that rides the next
-        reconnect (see :meth:`introduce_to`) is the backstop.
-        """
-        with self._lock:
-            addresses = sorted(set(self._remote_addresses.values()))
-        own = (self.advertised_host, self.port)
-        seen: set = set()
-        results: Dict[str, Dict[str, int]] = {}
-        for address in addresses:
-            try:
-                hostport = self.network.address_book.resolve(address)
-            except UnknownEndpointError:
-                continue
-            if hostport == own or hostport in seen:
-                continue
-            seen.add(hostport)
-            try:
-                results[f"{hostport[0]}:{hostport[1]}"] = self.resync_with(
-                    hostport[0], hostport[1]
-                )
-            except DeliveryError:
-                continue
-        return results
 
     # -- teardown ------------------------------------------------------------------
 

@@ -10,7 +10,9 @@ its snapshots and its evidence store.  Covered here, over the simulator
 and over loopback wire:
 
 * the lost-outcome regression, in both proposal orders;
-* a peer serving garbage to resync can neither break an introduction nor
+* catch-up is served to signed requests of current members only, and
+  tokens a member injects into a run do not change what is served;
+* a peer serving garbage to catch-up can neither break an introduction nor
   apply anything;
 * the rebuilt proposal digests like the live one, on memory and SQLite;
 * a store written in the earlier full-record layout still serves;
@@ -28,14 +30,24 @@ from hypothesis import strategies as st
 
 from repro import TrustDomain, codec
 from repro.clock import SimulatedClock
+from repro.core import evidence as evidence_module
+from repro.core.agreement import decision_payload
 from repro.core.config import DomainConfig, DurabilityConfig, TransportConfig
-from repro.core.evidence import payload_digest
-from repro.core.sharing import REDELIVERY_MAX_ATTEMPTS, set_run_fault_injector
-from repro.errors import ProtocolError
+from repro.core.evidence import TokenType, payload_digest
+from repro.core.messages import B2BProtocolMessage
+from repro.core.sharing import (
+    ACTION_CATCH_UP,
+    NR_SHARING_PROTOCOL,
+    REDELIVERY_MAX_ATTEMPTS,
+    set_run_fault_injector,
+)
+from repro.core.validators import ValidationDecision
+from repro.errors import ProtocolError, ReproError
 from repro.transport.wire import WireTransport
 
 URIS = ["urn:org:a", "urn:org:b", "urn:org:c"]
 A, B, C = URIS
+D = "urn:org:d"
 OBJECT_ID = "doc"
 
 
@@ -178,6 +190,43 @@ def test_catch_up_is_served_to_members_only():
     assert b.controller.catch_up(OBJECT_ID, A) == 0  # a member that is not behind
 
 
+def test_tokens_a_member_injects_into_a_run_do_not_spoil_its_catch_up(monkeypatch):
+    # C proposes, A loses the outcome, and B -- dishonest -- hands C an outcome
+    # message for the run carrying its own NR_OUTCOME and a second decision
+    # whose token id sorts after its real one.  C stores both (they verify),
+    # yet still serves A the tokens that prove the outcome.
+    domain = TrustDomain.create(URIS, config=DomainConfig(scheme="hmac"))
+    domain.share_object(OBJECT_ID, {"n": 0})
+    a, b, c = (domain.organisation(uri) for uri in URIS)
+    swallow_next_outcome(a)
+    outcome = c.propose_update(OBJECT_ID, {"n": 1})
+    assert outcome.agreed and a.shared_version(OBJECT_ID) == 0
+
+    run_id = outcome.run_id
+    stored = c.state_store.outcome_record(OBJECT_ID, 1)["outcome"]
+    builder = b.coordinator.services.evidence_builder
+    monkeypatch.setattr(evidence_module, "new_unique_id", lambda prefix: f"{prefix}-~injected")
+    injected = [
+        builder.build(TokenType.NR_OUTCOME, run_id, 3, C, stored),
+        builder.build(TokenType.NR_DECISION, run_id, 2, C, decision_payload(
+            OBJECT_ID, run_id, B, ValidationDecision(False, "changed my mind", "b"),
+            bytes.fromhex(stored["proposed_state_digest"]),
+        )),
+    ]
+    monkeypatch.undo()
+    c.controller.handle_outcome(B2BProtocolMessage(
+        run_id=run_id, protocol=NR_SHARING_PROTOCOL, step=3, sender=B, recipient=C,
+        attributes={"action": "outcome"}, payload=stored, tokens=injected,
+    ))
+    held = {record.token["token_id"] for record in c.evidence_store.evidence_for_run(run_id)}
+    assert {token.token_id for token in injected} <= held
+
+    assert a.controller.catch_up(OBJECT_ID, C) == 1
+    assert replicas(domain.organisation) == {(1, c.controller.state_digest(OBJECT_ID))}
+    assert "resync-applied" in events(a, run_id)
+    assert "resync-rejected" not in events(a)
+
+
 # -- a hostile peer's records are rejected, never raised --------------------------
 
 
@@ -191,32 +240,53 @@ def broken_records():
     return [codec.encode(broken), b"\xffnot a record", codec.encode([1, 2])]
 
 
-def refuse(_vectors):
-    raise ProtocolError("no resync for you")
+def refuse(_message):
+    raise ProtocolError("no catch-up for you")
+
+
+def garbage_reply(message):
+    return B2BProtocolMessage(
+        run_id=message.run_id, protocol=NR_SHARING_PROTOCOL, step=2, sender=B,
+        recipient=message.sender, payload=["not", "records"],
+    )
+
+
+@contextlib.contextmanager
+def wire_processes(*extra_local):
+    """A in one process, B and C in another, anything in ``extra_local`` in a third.
+
+    Every domain shares ``OBJECT_ID`` from version 0 -- the third one believing
+    its parties are members too; nothing is introduced yet.
+    """
+    uris = URIS + list(extra_local)
+    with contextlib.ExitStack() as stack:
+        transports = [
+            stack.enter_context(WireTransport(local_parties=local, await_remote_credentials=False))
+            for local in ([A], [B, C], list(extra_local)) if local
+        ]
+        domains = [
+            TrustDomain.create(uris, config=DomainConfig(transport=TransportConfig(wire=t)))
+            for t in transports
+        ]
+        for domain, believed in zip(domains, (URIS, URIS, uris)):
+            domain.share_object(OBJECT_ID, {"n": 0}, believed)
+        yield transports, domains
 
 
 @pytest.mark.parametrize(
     "method, garbage, rejections",
     [
-        ("_records_for_remote", lambda _vectors: {OBJECT_ID: broken_records()}, 3),
-        ("_records_for_remote", refuse, 0),
-        ("_local_vectors", lambda: ["not", "vectors"], 0),
+        ("resync_records", lambda *_args: broken_records(), 3),
+        ("_serve_catch_up", refuse, 0),
+        ("_serve_catch_up", garbage_reply, 0),
     ],
-    ids=["records", "error", "vectors"],
+    ids=["records", "error", "reply"],
 )
 def test_a_peer_serving_garbage_neither_breaks_the_introduction_nor_applies(
     monkeypatch, method, garbage, rejections
 ):
-    with WireTransport(local_parties=[A], await_remote_credentials=False) as ta, (
-        WireTransport(local_parties=[B, C], await_remote_credentials=False)
-    ) as tb:
-        near, far = (
-            TrustDomain.create(URIS, config=DomainConfig(transport=TransportConfig(wire=t)))
-            for t in (ta, tb)
-        )
-        near.share_object(OBJECT_ID, {"n": 0})
-        far.share_object(OBJECT_ID, {"n": 0})
-        monkeypatch.setattr(tb, method, garbage)
+    with wire_processes() as ((ta, tb), (near, far)):
+        monkeypatch.setattr(far.organisation(B).controller, method, garbage)
 
         ta.introduce_to(tb.host, tb.port)
 
@@ -224,8 +294,40 @@ def test_a_peer_serving_garbage_neither_breaks_the_introduction_nor_applies(
         a = near.organisation(A)
         assert (a.shared_version(OBJECT_ID), a.shared_state(OBJECT_ID)) == (0, {"n": 0})
         assert events(a).count("resync-rejected") == rejections
+        assert ("catch-up-failed" in events(a, OBJECT_ID)) == (rejections == 0)
         # The introduction left a working domain behind.
         assert a.propose_update(OBJECT_ID, {"n": 1}).agreed
+
+
+def test_a_process_that_is_no_member_is_served_nothing_over_wire():
+    with wire_processes(D) as ((ta, tb, td), (near, far, outsider)):
+        ta.introduce_to(tb.host, tb.port)
+        assert near.organisation(A).propose_update(OBJECT_ID, {"secret": 1}).agreed
+        b, d = far.organisation(B), outsider.organisation(D)
+
+        # D believes it shares the object; B knows it does not.
+        td.introduce_to(tb.host, tb.port)
+        assert d.shared_version(OBJECT_ID) == 0
+        assert "resync-rejected" not in events(d)  # nothing was served to reject
+        # No anti-entropy over the unauthenticated system channel any more.
+        with pytest.raises(ReproError):
+            td.network.system_request(
+                (tb.host, tb.port), "resync", {"vectors": {D: {OBJECT_ID: {"version": 0}}}}
+            )
+
+        # Nor a catch-up request claiming to come from a member: unsigned,
+        # or signed by D but naming A as its sender.
+        payload = {"object_id": OBJECT_ID, "from_version": 0, "digest": ""}
+        for tokens in ([], [d.coordinator.services.evidence_builder.build(
+            TokenType.NRO_CATCH_UP, "catch-up-forged", 1, B, payload
+        )]):
+            reply = d.coordinator.request(B2BProtocolMessage(
+                run_id="catch-up-forged", protocol=NR_SHARING_PROTOCOL, step=1, sender=A,
+                recipient=B, attributes={"action": ACTION_CATCH_UP}, payload=payload,
+                tokens=tokens,
+            ))
+            assert reply.payload["records"] == []
+        assert b.shared_version(OBJECT_ID) == 1
 
 
 def test_catch_up_from_a_peer_serving_garbage_applies_nothing(monkeypatch):

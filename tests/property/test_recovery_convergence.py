@@ -144,8 +144,7 @@ def _heal_via_resync(domain, outcome):
     domain.network.partition.heal_all()
     proposer = domain.organisation(PROPOSER)
     excluded = domain.organisation(EXCLUDED)
-    vector = proposer.controller.resync_vector()[OBJECT_ID]
-    assert vector["version"] == 2
+    assert proposer.shared_version(OBJECT_ID) == 2
     applied = 0
     records = proposer.controller.resync_records(
         OBJECT_ID, excluded.shared_version(OBJECT_ID)
