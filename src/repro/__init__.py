@@ -104,7 +104,7 @@ that representation is reused everywhere downstream.
   owed: after every run-journal record, before the coordinator hands a
   message to the network, and at step exit.  An agreed update is 2
   transactions per responder and 4 at the proposer (5 parties, durable:
-  12 for 61 rows, 32 before), and a step is atomic across stores.
+  12 for 49 rows, 32 before), and a step is atomic across stores.
 
 Concurrency model
 -----------------
@@ -277,9 +277,18 @@ restarted proposer has no memory the run ever existed.
   and keeps the proposal until the run's outcome, abort notice (sent by a
   run ending before its commit barrier) or expiry.  A responder applies
   the proposal it kept only when ``repro.core.agreement.agreement_proof``
-  holds -- the outcome wave carries no proposal.  A failing outcome is
+  holds -- the outcome wave carries no proposal, nor the responder's own
+  decision (it stored the one it signed).  A failing outcome is
   kept as evidence, audited ``outcome-rejected``; an agreed one with no
   reservation (a restart) is audited ``outcome-unheld`` and caught up.
+
+* **Audit** -- the log keeps only what no evidence row or outcome record
+  says.  A refusal is audited ``proposal-validated``; an acceptance is the
+  reservation, and the run it joined ends in exactly one record: the
+  applied version's outcome record, or one audit of ``outcome-received``
+  (not agreed), ``outcome-rejected``, ``outcome-unheld``,
+  ``run-abort-received`` or ``orphan-run-expired``.  The proposer audits
+  one ``update-coordinated`` per run.
 
 * **Orphan expiry** -- a reservation older than ``orphan_run_timeout``
   (default ``DEFAULT_ORPHAN_RUN_TIMEOUT``) is released by the next

@@ -69,7 +69,8 @@ def agreement_proof(
     advances its base version by one; and for each member but the proposer
     its ``decisions`` map holds an accepting entry that the member's
     ``NR_DECISION`` for the run signs.  The caller already knows that
-    ``trusted`` accepted (its own reservation): only its token is checked.
+    ``trusted`` accepted (its own reservation): it needs only the accepting
+    entry, and its token is neither looked up nor verified.
     """
     if outcome is None:
         return "no outcome payload"
@@ -95,21 +96,20 @@ def agreement_proof(
     tokens = {token.issuer: token for token in decision_tokens}
     text = _decision_template(fields.get("object_id"), run_id, True, digest_hex)
     for member in members:
-        entry, token = decisions.get(member), tokens.get(member)
         if member == proposer:
             continue
+        entry, token = decisions.get(member), tokens.get(member)
         if not isinstance(entry, dict) or entry.get("accepted") is not True:
             return f"no accepting decision from {member}"
+        if member == trusted:
+            continue
         if token is None:
             return f"no decision evidence from {member}"
-        signed = None
-        if member != trusted:
-            payload = text(entry.get("reason"), member, entry.get("validator"))
-            signed = secure_hash(payload.encode("utf-8"))
+        payload = text(entry.get("reason"), member, entry.get("validator"))
         try:
             verifier.require_valid(
                 token, expected_type=TokenType.NR_DECISION, expected_run_id=run_id,
-                expected_payload=signed, expected_issuer=member,
+                expected_payload=secure_hash(payload.encode("utf-8")), expected_issuer=member,
             )
         except EvidenceVerificationError as error:
             return f"decision evidence from {member} invalid: {error}"

@@ -105,8 +105,8 @@ class EvidenceToken:
         """``secure_hash(body_bytes())`` -- the digest the signature covers.
 
         Hashed from this token's own body once per object, however often the
-        token is verified; never taken from the (received)
-        ``signature.digest``.
+        token is verified; the signature carries no digest of its own, so
+        verification always runs over this one.
         """
         cached = self.__dict__.get("_body_digest")
         if cached is None:
@@ -218,7 +218,8 @@ def payload_digest(payload: Any) -> bytes:
 
 
 class EvidenceBuilder:
-    """Generates signed evidence tokens on behalf of one party."""
+    """Generates signed evidence tokens on behalf of one party; a token's
+    body is hashed once, and the signature is made over that digest."""
 
     def __init__(
         self,
@@ -249,7 +250,7 @@ class EvidenceBuilder:
         if not run_id:
             raise EvidenceError("evidence token requires a run id")
         digest = payload if isinstance(payload, bytes) else payload_digest(payload)
-        unsigned = EvidenceToken(
+        fields = dict(
             token_id=new_unique_id("tok"),
             token_type=token_type.value,
             run_id=run_id,
@@ -260,29 +261,18 @@ class EvidenceBuilder:
             issued_at=self._clock.now(),
             details=dict(details or {}),
         )
-        body = unsigned.body_bytes()
-        signature = self._signer.sign(body)
+        unsigned = EvidenceToken(**fields)
+        body, body_digest = unsigned.body_bytes(), unsigned.body_digest()
+        signature = self._signer.sign(body, body_digest)
         timestamp_token = None
         if self._tsa is not None:
             timestamp_token = self._tsa.issue(digest)
-        signed = EvidenceToken(
-            token_id=unsigned.token_id,
-            token_type=unsigned.token_type,
-            run_id=unsigned.run_id,
-            step=unsigned.step,
-            issuer=unsigned.issuer,
-            recipient=unsigned.recipient,
-            payload_digest=unsigned.payload_digest,
-            issued_at=unsigned.issued_at,
-            details=unsigned.details,
-            signature=signature,
-            timestamp_token=timestamp_token,
-        )
+        signed = EvidenceToken(**fields, signature=signature, timestamp_token=timestamp_token)
         # The signature covers only the body, which is identical for the
         # signed copy -- seed its caches instead of re-encoding and
         # re-hashing (the digest is the one this party just signed).
         signed.__dict__["_body_bytes"] = body
-        signed.__dict__["_body_digest"] = signature.digest
+        signed.__dict__["_body_digest"] = body_digest
         return signed
 
 

@@ -13,9 +13,10 @@ component-based realisation of Section 4.3 (Figure 8):
   2. each peer independently validates the proposal using locally configured,
      application-specific validators and returns a signed decision
      (``NR_DECISION``);
-  3. the collective outcome (``NR_OUTCOME``), together with every peer's
-     decision evidence, is distributed to all members so that everyone has a
-     consistent, verifiable view of the agreed state;
+  3. the collective outcome (``NR_OUTCOME``), together with every *other*
+     responder's decision evidence (each already holds its own), is
+     distributed to all members so that everyone has a consistent,
+     verifiable view of the agreed state;
 
 * the update is applied everywhere if and only if agreement was unanimous;
   otherwise every replica stays in the state prior to the proposal.  A
@@ -1922,7 +1923,7 @@ class B2BObjectController:
                 details={"event": "resync-rejected", "reason": f"malformed record: {error!r}"},
             )
             return False
-        members = self.members(object_id)
+        members, evidence_store = self.members(object_id), self._coordinator.services.evidence_store
         if not self._proof_holds(
             run_id, object_id, record.get("outcome"), nr_outcome, decisions,
             digest, members, proposer, event="resync-rejected",
@@ -1953,7 +1954,10 @@ class B2BObjectController:
                     # once.
                     if new_version != self._shared(object_id).version + 1:
                         return False
-                    kept = [t for t in decisions if t.issuer != proposer and t.issuer in members]
+                    # Like a live wave, never a second copy of its own decision.
+                    held = evidence_store.tokens_of_type(run_id, TokenType.NR_DECISION.value)
+                    skip = {proposer} | ({r.token.get("issuer") for r in held} & {self.party})
+                    kept = [t for t in decisions if t.issuer not in skip and t.issuer in members]
                     self._store_received(run_id, [nr_outcome] + kept)
                     self._apply_update(object_id, new_state, new_version, run_id, record["outcome"])
                 self._coordinator.services.audit_log.append(
@@ -2088,12 +2092,7 @@ class B2BObjectController:
                 accepted=False, reason=f"origin evidence invalid: {error}", validator="controller"
             )
         else:
-            services.evidence_store.store(
-                run_id=message.run_id,
-                token_type=nro_update.token_type,
-                token=nro_update,
-                role=services.evidence_store.ROLE_RECEIVED,
-            )
+            self._store_received(message.run_id, [nro_update])
             base = proposal.get("base_version")
             if type(base) is int and self.is_shared(object_id) and base > self.get_version(object_id):
                 # Missed a version the proposer holds: catch up from it before
@@ -2119,17 +2118,14 @@ class B2BObjectController:
             token=response.tokens[0],
             role=services.evidence_store.ROLE_GENERATED,
         )
-        services.audit_log.append(
-            category=AUDIT_CATEGORY_SHARING,
-            subject=message.run_id,
-            details={
-                "event": "proposal-validated",
-                "object_id": object_id,
-                "proposer": message.sender,
-                "accepted": decision.accepted,
-                "reason": decision.reason,
-            },
-        )
+        if not decision.accepted:
+            # An acceptance is on record as the reservation, then as however
+            # the run ends (the applied version's outcome record, or an audit).
+            services.audit_log.append(
+                category=AUDIT_CATEGORY_SHARING, subject=message.run_id,
+                details={"event": "proposal-validated", "object_id": object_id,
+                         "proposer": message.sender, "accepted": False, "reason": decision.reason},
+            )
         return response
 
     def _decision_message(
@@ -2224,7 +2220,9 @@ class B2BObjectController:
         ``outcome-rejected``); without a reservation -- a restarted replica,
         or one that never accepted -- it is audited ``outcome-unheld`` and
         the replica catches up from the sender.  Whatever of the outcome
-        verifies is kept.
+        verifies is kept.  An applied outcome is not audited: the version's
+        outcome record, written in the same step, says it.  The wave omits
+        this replica's own decision; the one it signed is already stored.
         """
         outcome_payload, run_id, sender = message.payload, message.run_id, message.sender
         object_id = outcome_payload["object_id"]
@@ -2241,13 +2239,15 @@ class B2BObjectController:
             held.proposal_digest, held.members, sender, trusted=self.party,
         )
         if proven:
-            kept = [t for t in decisions if t.issuer != sender and t.issuer in held.members]
+            kept = [t for t in decisions
+                    if t.issuer not in (sender, self.party) and t.issuer in held.members]
             # The outcome and the decisions behind it are written in one
             # step, before the update they justify is applied.
             self._store_received(run_id, [nr_outcome] + kept)
             applied = self._apply_update(
                 object_id, held.proposal["proposed_state"], new_version, run_id, outcome_payload
             )
+            event = None if applied else event
         else:
             verdicts = self._coordinator.services.evidence_verifier.verify_all(
                 [(nr_outcome, {"expected_type": TokenType.NR_OUTCOME, "expected_run_id": run_id,
@@ -2418,13 +2418,7 @@ class _UpdateRun(_CoordinationRun):
     def _phase2_messages(self, results: List) -> List[B2BProtocolMessage]:
         controller, services = self._controller, self._services
         self._collect_decisions(results)
-        services.evidence_store.store_many(
-            self.run_id,
-            [
-                (token.token_type, token, services.evidence_store.ROLE_RECEIVED)
-                for token in self._decision_tokens.values()
-            ],
-        )
+        controller._store_received(self.run_id, [*self._decision_tokens.values()])  # noqa: SLF001
         self._new_version = self._base_version + 1 if self._agreed else None
 
         # Phase 2: distribute the collective decision to every member.
@@ -2453,7 +2447,7 @@ class _UpdateRun(_CoordinationRun):
         # Stored by _on_committed once the commit barrier is passed, so an
         # abort racing this continuation never leaves a generated NR_OUTCOME
         # contradicting the run's not-agreed result in the evidence store.
-        outcome_tokens = [self._nr_outcome] + list(self._decision_tokens.values())
+        # A peer already holds its own decision: it gets every other one.
         self._outcome_wave = [
             B2BProtocolMessage(
                 run_id=self.run_id,
@@ -2462,7 +2456,9 @@ class _UpdateRun(_CoordinationRun):
                 sender=controller.party,
                 recipient=peer,
                 payload=outcome,
-                tokens=outcome_tokens,
+                tokens=[self._nr_outcome] + [
+                    token for party, token in self._decision_tokens.items() if party != peer
+                ],
                 attributes={"action": ACTION_OUTCOME},
                 reply_to=self._coordinator.address,
             )

@@ -30,30 +30,25 @@ class Signature:
         scheme: name of the signature scheme used.
         key_id: identifier of the signing key.
         value: the raw signature bytes.
-        digest: the message digest that was signed (kept so evidence can be
-            audited without re-hashing large payloads).
+
+    The signed digest is not carried: a verifier always recomputes it from
+    the message it holds, so a copy would only be compared, never trusted.
     """
 
     scheme: str
     key_id: str
     value: bytes
-    digest: bytes
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scheme": self.scheme,
-            "key_id": self.key_id,
-            "value": self.value.hex(),
-            "digest": self.digest.hex(),
-        }
+        return {"scheme": self.scheme, "key_id": self.key_id, "value": self.value.hex()}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Signature":
+        """Revive a signature; a ``"digest"`` key of the older layout is ignored."""
         return cls(
             scheme=payload["scheme"],
             key_id=payload["key_id"],
             value=bytes.fromhex(payload["value"]),
-            digest=bytes.fromhex(payload["digest"]),
         )
 
 
@@ -79,17 +74,20 @@ class SignatureScheme:
 
     # Convenience message-level helpers -------------------------------------
 
-    def sign(self, private_key: PrivateKey, message: bytes) -> Signature:
-        """Hash ``message`` and sign the digest."""
+    def sign(
+        self,
+        private_key: PrivateKey,
+        message: bytes,
+        message_digest: Optional[bytes] = None,
+    ) -> Signature:
+        """Hash ``message`` (or take its ``message_digest``) and sign the digest."""
         if private_key.scheme != self.name:
             raise SignatureError(
                 f"key scheme {private_key.scheme!r} does not match {self.name!r}"
             )
-        digest = secure_hash(message)
+        digest = secure_hash(message) if message_digest is None else message_digest
         value = self.sign_digest(private_key, digest)
-        return Signature(
-            scheme=self.name, key_id=private_key.key_id, value=value, digest=digest
-        )
+        return Signature(scheme=self.name, key_id=private_key.key_id, value=value)
 
     def verify(
         self,
@@ -102,8 +100,9 @@ class SignatureScheme:
 
         ``message_digest`` is ``secure_hash(message)`` when the caller has
         already computed it from ``message`` itself (an evidence token hashes
-        its body once per object); it is never a received value such as
-        ``signature.digest``, which is checked against it.
+        its body once per object); it is never a received value.  The
+        signature is checked against that digest, so altering ``message``
+        fails verification.
 
         Results are memoised process-wide: re-verifying a token that was
         redistributed (e.g. ``NR_DECISION`` evidence forwarded with an
@@ -111,7 +110,7 @@ class SignatureScheme:
         The memo key binds (scheme, key-material fingerprint, digest,
         signature bytes), so a different key -- even re-pinned under the same
         party name or carrying a spoofed ``key_id`` -- or any tampering with
-        digest or signature bytes misses the cache.
+        the message or signature bytes misses the cache.
         """
         if signature.scheme != self.name:
             return False
@@ -120,8 +119,6 @@ class SignatureScheme:
         if public_key.key_id != signature.key_id:
             return False
         digest = secure_hash(message) if message_digest is None else message_digest
-        if digest != signature.digest:
-            return False
         # Key on the recomputed material fingerprint, not the declared
         # key_id: deserialised keys carry whatever key_id the payload
         # claimed, and a memo entry poisoned through a spoofed id would
@@ -248,13 +245,13 @@ class Signer:
     def scheme_name(self) -> str:
         return self._private_key.scheme
 
-    def sign(self, message: bytes) -> Signature:
-        """Sign ``message`` (hash-then-sign)."""
+    def sign(self, message: bytes, message_digest: Optional[bytes] = None) -> Signature:
+        """Sign ``message`` (hash-then-sign; see :meth:`SignatureScheme.sign`)."""
         observe = _OBS.observe_sign
         if observe is None:
-            return self._scheme.sign(self._private_key, message)
+            return self._scheme.sign(self._private_key, message, message_digest)
         started = perf_counter()
-        signature = self._scheme.sign(self._private_key, message)
+        signature = self._scheme.sign(self._private_key, message, message_digest)
         observe(perf_counter() - started)
         return signature
 

@@ -4,6 +4,8 @@
 future interactions" (Section 2).  Every record appended to the log is
 included in a hash chain, so any later modification, reordering or deletion
 of stored evidence is detectable by :meth:`AuditLog.verify_integrity`.
+The log keeps only what no evidence row or outcome record already says:
+why a run applied nothing, never that it applied (see ``repro``, "Audit").
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import PersistenceError
@@ -127,7 +128,7 @@ class _ThreadStep(threading.local):
         #: keeps its first position, as it does in every backend.
         self.pending: Dict[Tuple[StorageBackend, str], bytes] = {}
         #: ``reload`` callbacks of the stores that wrote since the last commit.
-        self.reloads: Dict[Callable[[], None], None] = {}
+        self.reloads: Dict["weakref.WeakMethod", None] = {}
 
     def __enter__(self) -> None:
         self.depth += 1
@@ -175,7 +176,9 @@ def commit() -> None:
         backend.put_many(batch)
     except BaseException:
         for reload in reloads:
-            reload()
+            method = reload()
+            if method is not None:
+                method()
         raise
 
 
@@ -188,16 +191,18 @@ class SteppedBackend(StorageBackend):
     """The view of ``backend`` a store writes and reads through.
 
     Writes join the calling thread's step (or commit at once when none is
-    open) and reads see them; everything else is ``backend``'s.  ``reload``
-    is the store's way back to a state derived from ``backend`` alone: it
-    is called when a commit carrying the store's records fails.
+    open) and reads see them; everything else is ``backend``'s.  ``reload``,
+    a method of the store, is its way back to a state derived from
+    ``backend`` alone: called when a commit carrying its records fails.
     """
 
     def __init__(
         self, backend: StorageBackend, reload: Optional[Callable[[], None]] = None
     ) -> None:
         self._backend = backend
-        self._reload = reload
+        # Held weakly: the store holds this view, and a strong reference back
+        # would keep a dropped store alive until the next cycle collection.
+        self._reload = weakref.WeakMethod(reload) if reload is not None else None
         self.supports_prefix_scan = backend.supports_prefix_scan
 
     def _pending(self, prefix: str = "") -> Dict[str, bytes]:

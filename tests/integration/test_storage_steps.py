@@ -222,9 +222,11 @@ class TestTransactionsPerStep:
         assert per_owner.pop(proposer.uri) <= 4
         assert per_owner == {uri: 2 for uri in uris(5)[1:]}
         rows = [key for _, items in transactions for key, _ in items]
-        assert len(rows) == len(set(rows)) == 61
+        assert len(rows) == len(set(rows)) == 49
+        # One audit row: the proposer's update-coordinated; each responder's
+        # acceptance and applied outcome are its reservation and outcome record.
         assert Counter(key.split(":", 1)[0] for key in rows) == {
-            "evidence": 34, "audit": 9, "state": 15, "runjournal": 3,
+            "evidence": 30, "audit": 1, "state": 15, "runjournal": 3,
         }
         # Each party's rows went through its own connection.
         for backend, items in transactions:
@@ -470,7 +472,7 @@ class TestOutcomeRecordsRideOnBytes:
             ("nro-update", "received"): 1,
             ("nr-decision", "generated"): 1,
             ("nr-outcome", "received"): 1,
-            ("nr-decision", "received"): 2,  # both verified: neither was dropped
+            ("nr-decision", "received"): 1,  # the other responder's, verified and kept
         }
         # The catch-up re-persists the record for the next stale peer, as is.
         assert excluded.controller.resync_records(OBJECT_ID, 0) == [record]

@@ -213,7 +213,9 @@ def test_orphan_gc_then_late_outcome_converges():
     _assert_converged(domain, outcome.run_id)
     events = _events(excluded, outcome.run_id)
     assert "orphan-run-expired" in events
-    assert "outcome-received" in events
+    # The late outcome applied: its record, not an audit, says so.
+    assert excluded.state_store.outcome_record(OBJECT_ID, 2)["run_id"] == outcome.run_id
+    assert "outcome-received" not in events
     assert excluded.controller.pending_orphan_watches() == []
     assert domain.retry_scheduler.pending_timers() == 0
 

@@ -194,8 +194,8 @@ class TestOneEngine:
         assert not domain.organisation("urn:org:p3").controller.is_shared("doc")
         # Every update run left the full NR evidence set at every party:
         # the proposer generated origin + outcome and received three
-        # decisions; each responder received origin, outcome and all three
-        # decisions (its own included) and generated its own.
+        # decisions; each responder received origin, outcome and the other
+        # two decisions and generated its own.
         for run_id in run_ids:
             for uri in domain.party_uris():
                 holdings = Counter(
@@ -213,7 +213,7 @@ class TestOneEngine:
                         (TokenType.NRO_UPDATE.value, "received"): 1,
                         (TokenType.NR_OUTCOME.value, "received"): 1,
                         (TokenType.NR_DECISION.value, "generated"): 1,
-                        (TokenType.NR_DECISION.value, "received"): 3,
+                        (TokenType.NR_DECISION.value, "received"): 2,
                     }
 
     @pytest.mark.parametrize(

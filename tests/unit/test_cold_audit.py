@@ -450,7 +450,7 @@ class TestColdAuditWork:
             owner=auditor.uri,
             backend=StorageProfile.parse(storage).backend_for(auditor.uri, "evidence"),
         )
-        assert len(cold_store.evidence_for_run(run_id)) == 7
+        assert len(cold_store.evidence_for_run(run_id)) == 6
         memo = verification_cache_stats()
         resolver = DisputeResolver(auditor.evidence_verifier)
         verdicts = [

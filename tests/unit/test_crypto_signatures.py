@@ -86,7 +86,6 @@ class TestRSA:
             scheme=signature.scheme,
             key_id=signature.key_id,
             value=bytes([signature.value[0] ^ 0xFF]) + signature.value[1:],
-            digest=signature.digest,
         )
         assert not scheme.verify(rsa_keypair.public, b"message", corrupted)
 
@@ -513,9 +512,7 @@ class TestRegistryAndHelpers:
 
     def test_signature_with_wrong_scheme_label_rejected(self, rsa_keypair):
         signature = sign_message(rsa_keypair.private, b"x")
-        forged = Signature(
-            scheme="dsa", key_id=signature.key_id, value=signature.value, digest=signature.digest
-        )
+        forged = Signature(scheme="dsa", key_id=signature.key_id, value=signature.value)
         assert not verify_message(rsa_keypair.public, b"x", forged)
 
 

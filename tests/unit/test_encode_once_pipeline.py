@@ -274,7 +274,6 @@ class TestVerificationMemoKeyBinding:
             scheme="rsa",
             key_id=keypair.public.key_id,  # declares the victim's key id
             value=scheme.sign_digest(attacker.private, secure_hash(message)),
-            digest=secure_hash(message),
         )
         # The attacker presents their own key material under the victim's
         # declared key_id; verifying memoises a True verdict for it.

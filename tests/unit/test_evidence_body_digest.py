@@ -1,10 +1,10 @@
 """An evidence token hashes its signed body once per object.
 
 ``EvidenceToken.body_digest`` is ``secure_hash(body_bytes())``, cached on the
-token; the builder seeds it with the digest it has just signed and the
+token; the builder signs that digest and seeds the cache with it, and the
 verifier hands it to ``SignatureScheme.verify`` instead of rehashing the
-body on every verification.  These tests pin that the digest is always the
-token's own (a received ``signature.digest`` is only ever compared with it)
+body on every verification.  A signature carries no digest of its own, so
+verification always runs over the token's own body.  These tests pin that,
 and count the hashes one agreed update costs.
 """
 
@@ -18,11 +18,11 @@ from repro.core.config import DomainConfig
 from repro.core.evidence import EvidenceBuilder, EvidenceToken, EvidenceVerifier, TokenType
 from repro.crypto import hashing
 from repro.crypto.signature import (
-    Signature,
     SignatureScheme,
     Signer,
     clear_verification_cache,
     generate_keypair,
+    get_scheme,
 )
 from repro.persistence.evidence_store import EvidenceStore
 from repro.transport.wire.wirecodec import decode_body, encode_body
@@ -98,10 +98,15 @@ def _token(builder, run_id="run-1"):
 
 
 class TestOneHashPerToken:
-    def test_built_token_carries_the_digest_it_was_signed_over(self, builder):
+    def test_built_token_is_signed_over_its_body_digest(self, builder, keypair, hash_calls):
+        before = hash_calls["all"]
         token = _token(builder)
-        assert token.body_digest() == token.signature.digest
+        # The payload digest and the body digest; signing hashes nothing more.
+        assert hash_calls["all"] == before + 2
         assert token.body_digest() == hashing.secure_hash(token.body_bytes())
+        scheme = get_scheme(keypair.public.scheme)
+        assert scheme.verify_digest(keypair.public, token.body_digest(), token.signature.value)
+        assert set(token.to_dict()["signature"]) == {"scheme", "key_id", "value"}
 
     def test_built_token_verifies_without_hashing(self, builder, verifier, hash_calls):
         token = _token(builder)
@@ -139,13 +144,7 @@ class TestOneHashPerToken:
         assert hash_calls["in_verify"] == 0
 
 
-class TestReceivedDigestIsNeverTrusted:
-    def test_signature_digest_not_matching_the_body_fails(self, builder, verifier):
-        token = _token(builder)
-        payload = token.to_dict()
-        payload["signature"]["digest"] = hashing.secure_hash(b"something else").hex()
-        assert not verifier.verify(EvidenceToken.from_dict(payload))
-
+class TestTheSignatureCoversTheBody:
     def test_altered_body_under_the_original_signature_fails(self, builder, verifier):
         token = _token(builder)
         assert verifier.verify(token)
@@ -153,23 +152,38 @@ class TestReceivedDigestIsNeverTrusted:
         payload["recipient"] = "urn:test:mallory"
         assert not verifier.verify(EvidenceToken.from_dict(payload))
 
-    def test_digest_matching_an_altered_body_does_not_lend_it_the_signature(
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("details", {"note": "added"}),
+            ("payload_digest", "00" * 32),
+            ("run_id", "run-2"),
+            ("issued_at", 0.0),
+        ],
+    )
+    def test_any_altered_body_field_fails(self, builder, verifier, field, value):
+        payload = _token(builder).to_dict()
+        payload[field] = value
+        assert not verifier.verify(EvidenceToken.from_dict(payload))
+
+    def test_a_digest_in_the_older_layout_is_ignored(self, builder, verifier):
+        token = _token(builder)
+        payload = token.to_dict()
+        payload["signature"]["digest"] = hashing.secure_hash(b"something else").hex()
+        revived = EvidenceToken.from_dict(payload)
+        assert revived.signature == token.signature
+        assert verifier.verify(revived)
+
+    def test_a_digest_matching_an_altered_body_does_not_lend_it_the_signature(
         self, builder, verifier
     ):
         token = _token(builder)
         altered = dataclasses.replace(token, recipient="urn:test:mallory")
-        # The forger recomputes the digest for the altered body but can only
-        # reuse the signature value made over the original one.
-        forged = dataclasses.replace(
-            altered,
-            signature=Signature(
-                scheme=token.signature.scheme,
-                key_id=token.signature.key_id,
-                value=token.signature.value,
-                digest=hashing.secure_hash(altered.body_bytes()),
-            ),
-        )
-        assert not verifier.verify(forged)
+        # The forger presents, in the older layout, the digest of the altered
+        # body but can only reuse the signature value made over the original.
+        payload = altered.to_dict()
+        payload["signature"]["digest"] = hashing.secure_hash(altered.body_bytes()).hex()
+        assert not verifier.verify(EvidenceToken.from_dict(payload))
 
 
 class TestHashesPerUpdate:
@@ -182,10 +196,10 @@ class TestHashesPerUpdate:
             assert proposer.propose_update("obj", {"n": version}).agreed
             delta = {name: hash_calls[name] - before[name] for name in hash_calls}
             # 4 signatures (NRO_update, two decisions, the outcome), each
-            # hashing its body once, plus 5 audit-chain links, 4 payload
-            # digests and 3 state digests; the 10 verifications of the round
-            # add none (26 hashes before the body digest was cached on the
-            # token).  The agreement proof adds (n-1)(n-2) = 2: each
-            # responder rebuilds the other responder's decision payload from
-            # the signed outcome (its own acceptance is its reservation).
-            assert delta == {"all": 18, "in_verify": 0, "sign": 4, "verify": 10}
+            # hashing its body once, plus 1 audit-chain link (the proposer's
+            # update-coordinated), 4 payload digests and 3 state digests; the
+            # 8 verifications of the round add none.  The agreement proof adds
+            # (n-1)(n-2) = 2: each responder rebuilds the other responder's
+            # decision payload from the signed outcome, and verifies only that
+            # decision (its own acceptance is its reservation).
+            assert delta == {"all": 14, "in_verify": 0, "sign": 4, "verify": 8}

@@ -75,15 +75,15 @@ class TestAgreedUpdates:
         evidence = sorted(len(batch) for batch in batches if batch[0] == "evidence")
         # Proposer: NRO_update before the proposal leaves, the two decisions
         # and NR_outcome before the outcome does.  Each responder: NRO_update
-        # with its decision, then the outcome with both decisions.
-        assert evidence == [1, 2, 2, 3, 3, 3]
+        # with its decision, then the outcome with the other's decision.
+        assert evidence == [1, 2, 2, 2, 2, 3]
         # Each replica applies with one write: snapshot + history entry +
         # compact outcome record.
         assert [batch for batch in batches if batch[0] == "state"] == [["state"] * 3] * 3
         for org in (b, c):
             records = org.evidence_for_run(outcome.run_id)
             assert [r.token_type for r in records] == [
-                "nro-update", "nr-decision", "nr-outcome", "nr-decision", "nr-decision",
+                "nro-update", "nr-decision", "nr-outcome", "nr-decision",
             ]
 
     def test_evidence_held_by_proposer_and_peers(self, sharing_domain):

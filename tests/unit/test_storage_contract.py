@@ -12,7 +12,9 @@ and that stepping changes when records are written, never which.
 """
 
 import contextlib
+import gc
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -419,6 +421,18 @@ class TestWritePathContract:
         assert len(reopened) == 1 and reopened.verify_integrity()
         reopened.append("nr.sharing", "again")
         assert [record.subject for record in reopened.records()] == ["s0", "again"]
+
+    def test_a_dropped_store_is_freed_without_a_cycle_collection(self, open_backend):
+        # A cold reader opens a store per audit batch and drops it: its
+        # decoded records must go with it, not wait for a full collection.
+        backend = open_backend()
+        gc.disable()
+        try:
+            for make in (EvidenceStore, AuditLog, StateStore):
+                dropped = weakref.ref(make(OWNER, backend))
+                assert dropped() is None, make
+        finally:
+            gc.enable()
 
     def test_the_error_reaches_whoever_leaves_the_step(self, open_backend):
         stores = _Stores(_LoopingFlaky(open_backend(), fail_at=1))
