@@ -72,7 +72,10 @@ that representation is reused everywhere downstream.
   public exponent on ``BN_mod_exp_mont``, each with its Montgomery context
   cached, keyed on key material; other schemes call the one-shot
   ``BN_mod_exp``.  Without libcrypto everything falls back to the built-in
-  ``pow`` with identical results.
+  ``pow`` with identical results.  Identifiers, nonces and keys draw from
+  the OS CSPRNG (``os.urandom``), so no generator state is shared across
+  ``fork()``; key primes pass a one-``gcd`` small-prime screen and 32
+  Miller-Rabin rounds whose survivors share one prepared kernel.
 
 * **Batched coordination fan-out** -- ``B2BCoordinator.request_all`` /
   ``send_all`` deliver a whole fan-out through one batched, retried network
@@ -143,7 +146,7 @@ On top of the encode-once substrate, the protocol engine runs concurrently:
   low-water mark, and an empty pool computes triples synchronously, so
   signing is never blocked on the refill thread.  Pooling trades the
   deterministic RFC 6979 nonce derivation for offline precomputation
-  (nonces then come from the thread-safe HMAC-DRBG) and is therefore
+  (nonces then come from the OS CSPRNG) and is therefore
   opt-in; the default remains deterministic signing.
 
 * **Batched verification** -- ``EvidenceVerifier.verify_all`` checks an

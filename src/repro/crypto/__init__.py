@@ -6,7 +6,7 @@ generator; credential (certificate) management; and time-stamping.  This
 package provides from-scratch implementations of all of them:
 
 * :mod:`repro.crypto.hashing` -- SHA-256 based digests, hash chains, Merkle trees.
-* :mod:`repro.crypto.rng` -- HMAC-DRBG pseudo-random generator and unique ids.
+* :mod:`repro.crypto.rng` -- OS-backed default generator, seedable HMAC-DRBG, unique ids.
 * :mod:`repro.crypto.rsa` -- RSA key generation (Miller-Rabin) and signatures.
 * :mod:`repro.crypto.dsa` -- DSA signatures.
 * :mod:`repro.crypto.hmac_scheme` -- symmetric HMAC "signature" scheme.

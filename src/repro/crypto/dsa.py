@@ -13,9 +13,9 @@ parameters.  A :class:`NoncePool` precomputes ``(k, k^-1, r)`` triples off
 the critical path (a background refill thread plus a synchronous fallback for
 an empty pool), cutting online signing to a hash reduction and two modular
 multiplications.  Pools are keyed by ``(p, q, g)``, so one pool serves every
-key sharing a parameter set.  Pooled nonces come from the thread-safe
-HMAC-DRBG (nonce reuse probability ~2^-160 per pair), trading the
-deterministic RFC 6979 derivation for offline precomputation; pooling is
+key sharing a parameter set.  Pooled nonces come from the OS CSPRNG (nonce
+reuse probability ~2^-160 per pair), trading the deterministic RFC 6979
+derivation for offline precomputation; pooling is
 therefore **opt-in** via :func:`enable_nonce_pools` and signing falls back to
 the deterministic path whenever pooling is disabled.
 """

@@ -1,19 +1,27 @@
 """Primality testing and prime generation.
 
-Implements deterministic trial division for small candidates and the
-Miller-Rabin probabilistic primality test for large candidates, plus helpers
-to generate random primes and safe primes of a requested bit length.  Used by
-the RSA and DSA key generators.
+A candidate is screened by one ``gcd`` with the product of the 95 primes up
+to 499 (candidates up to 499 are looked up directly), then put through 32
+Miller-Rabin rounds with random bases.  Round 1 is a one-shot, variable-time
+``mod_exp``: nearly every candidate that reaches it is composite and fails
+there.  The survivors' remaining rounds share one constant-time kernel
+prepared for ``(d, candidate)`` (:func:`repro.crypto.modexp.prepare_mod_exp`),
+which at 512 bits costs no more than the variable-time one.  Generated
+primes have their top two bits set, so a product of two ``k``-bit primes
+always has exactly ``2k`` bits and each factor is at least ``0.75 * 2**k``
+-- above the ``sqrt(2) * 2**(k-1)`` floor of FIPS 186-4 B.3.1.  Used by the
+RSA and DSA key generators.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from repro.crypto.modexp import mod_exp
+from repro.crypto.modexp import mod_exp, prepare_mod_exp
 from repro.crypto.rng import SecureRandom, default_rng
 
-# Small primes used for cheap trial division before Miller-Rabin.
+# The small-prime screen run before Miller-Rabin.
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
@@ -22,37 +30,38 @@ _SMALL_PRIMES = [
     317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383, 389, 397, 401, 409,
     419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467, 479, 487, 491, 499,
 ]
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_PRIMORIAL = math.prod(_SMALL_PRIMES)
 
 
 def is_probable_prime(candidate: int, rounds: int = 32, rng: Optional[SecureRandom] = None) -> bool:
     """Return ``True`` if ``candidate`` is probably prime.
 
-    Uses trial division by small primes followed by ``rounds`` iterations of
+    Screens by the small primes, then runs ``rounds`` iterations of
     Miller-Rabin with random bases.  The error probability is at most
     ``4**-rounds``.
     """
-    if candidate < 2:
+    if candidate <= _SMALL_PRIMES[-1]:
+        return candidate in _SMALL_PRIME_SET
+    if math.gcd(candidate, _PRIMORIAL) != 1:
         return False
-    for prime in _SMALL_PRIMES:
-        if candidate == prime:
-            return True
-        if candidate % prime == 0:
-            return False
     rng = rng or default_rng()
     # Write candidate - 1 as d * 2^r with d odd.
-    d = candidate - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        base = rng.random_int_range(2, candidate - 1)
-        x = mod_exp(base, d, candidate)
-        if x == 1 or x == candidate - 1:
+    minus_one = candidate - 1
+    r = (minus_one & -minus_one).bit_length() - 1
+    d = minus_one >> r
+    # Round 1 rejects nearly every composite, so only its survivors pay
+    # for a prepared kernel.
+    exponentiate = lambda base: mod_exp(base, d, candidate)
+    for round_ in range(rounds):
+        if round_ == 1:
+            exponentiate = prepare_mod_exp(d, candidate, secret=True)
+        x = exponentiate(rng.random_int_range(2, minus_one))
+        if x == 1 or x == minus_one:
             continue
         for _ in range(r - 1):
             x = pow(x, 2, candidate)
-            if x == candidate - 1:
+            if x == minus_one:
                 break
         else:
             return False
@@ -60,12 +69,13 @@ def is_probable_prime(candidate: int, rounds: int = 32, rng: Optional[SecureRand
 
 
 def generate_prime(bits: int, rng: Optional[SecureRandom] = None) -> int:
-    """Generate a random prime with exactly ``bits`` bits."""
+    """Generate a random prime with exactly ``bits`` bits, the top two set."""
     if bits < 8:
         raise ValueError("prime size must be at least 8 bits")
     rng = rng or default_rng()
+    fixed_bits = (3 << (bits - 2)) | 1
     while True:
-        candidate = rng.random_odd_int(bits)
+        candidate = rng.random_int(bits) | fixed_bits
         if is_probable_prime(candidate, rng=rng):
             return candidate
 

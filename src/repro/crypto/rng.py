@@ -5,9 +5,15 @@ statistically random and unpredictable sequences of bits.  Random numbers are
 used to generate unique identifiers and random authenticators during
 non-repudiation protocols." (Section 3.5).
 
+Every default draw -- :func:`new_unique_id`, :func:`new_nonce` and
+:func:`default_rng`, which key generation uses -- comes straight from the
+operating system's CSPRNG (``os.urandom``).  The process holds no generator
+state, so a ``fork()``ed child never repeats its parent's identifiers,
+nonces or keys.
+
 :class:`SecureRandom` is an HMAC-DRBG (NIST SP 800-90A style) built on
-SHA-256.  By default it is seeded from ``os.urandom``; tests may seed it
-explicitly to obtain deterministic sequences.
+SHA-256.  It runs only where a caller constructs one -- seeded, to obtain a
+reproducible sequence (fault plans, tests), or passed explicitly as ``rng=``.
 """
 
 from __future__ import annotations
@@ -101,23 +107,32 @@ class SecureRandom:
         value |= (1 << (bits - 1)) | 1
         return value
 
-    def random_hex(self, length: int) -> str:
-        """Return a random hex string of ``length`` characters."""
-        nbytes = (length + 1) // 2
-        return self.random_bytes(nbytes).hex()[:length]
+
+class OSRandom(SecureRandom):
+    """The operating system's CSPRNG behind the :class:`SecureRandom` API."""
+
+    def __init__(self) -> None:
+        pass
+
+    def reseed(self, entropy: bytes) -> None:
+        """No-op: there is no state to mix into; the OS pool reseeds itself."""
+
+    def random_bytes(self, length: int) -> bytes:
+        """Return ``length`` bytes from ``os.urandom`` (``ValueError`` if negative)."""
+        return os.urandom(length)
 
 
-_default_rng = SecureRandom()
+_default_rng = OSRandom()
 
 
 def default_rng() -> SecureRandom:
-    """Return the process-wide default generator."""
+    """Return the process-wide default generator (the OS CSPRNG)."""
     return _default_rng
 
 
 def new_nonce(length: int = 16) -> bytes:
     """Return a fresh random authenticator of ``length`` bytes."""
-    return _default_rng.random_bytes(length)
+    return os.urandom(length)
 
 
 def new_unique_id(prefix: str = "id") -> str:
@@ -126,4 +141,4 @@ def new_unique_id(prefix: str = "id") -> str:
     Identifiers are used as protocol-run (request) identifiers to distinguish
     between protocol runs and to bind protocol steps to a run (Section 3.2).
     """
-    return f"{prefix}-{_default_rng.random_hex(32)}"
+    return f"{prefix}-{os.urandom(16).hex()}"

@@ -1,6 +1,10 @@
 """From-scratch RSA signature scheme.
 
-Key generation uses Miller-Rabin prime generation; signing follows the
+Key generation draws two primes from :func:`repro.crypto.primality.
+generate_prime` (small-prime ``gcd`` screen, 32 Miller-Rabin rounds, the
+top two bits set), so the modulus always has exactly the requested size and
+each factor meets the FIPS 186-4 B.3.1 floor; randomness comes from the OS
+CSPRNG unless a seeded ``rng`` is passed.  Signing follows the
 hash-then-pad-then-exponentiate structure of PKCS#1 v1.5 (a deterministic
 padding of the digest with a scheme identifier, then modular exponentiation
 with the private exponent).
@@ -29,8 +33,9 @@ from repro.errors import SignatureError
 from repro.crypto.signature import SignatureScheme
 
 #: Default modulus size.  1024 bits keeps key generation fast enough for
-#: tests and benchmarks while exercising exactly the same code path as a
-#: production-size modulus.
+#: tests and benchmarks (two 512-bit primes, each at least 0.75 * 2**512, so
+#: every product is exactly 1024 bits) while exercising exactly the same code
+#: path as a production-size modulus.
 DEFAULT_MODULUS_BITS = 1024
 
 #: Public exponent, the conventional F4.

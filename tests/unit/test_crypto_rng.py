@@ -1,11 +1,27 @@
 """Unit tests for the HMAC-DRBG generator and identifier helpers."""
 
+import os
+import select
+import signal
+import time
+
 import pytest
 
-from repro.crypto.rng import SecureRandom, new_nonce, new_unique_id
+from repro.crypto.rng import OSRandom, SecureRandom, default_rng, new_nonce, new_unique_id
+from repro.crypto.rsa import RSAScheme
+
+# The first 64 bytes of ``SecureRandom(seed=b"nrbench")`` as the HMAC-DRBG
+# has always produced them: fault plans and seeded tests replay this stream.
+_NRBENCH_STREAM = bytes.fromhex(
+    "807089112ba9b58330024c71f7f3bc598787a0b6c023b5df4892e72b271768bb"
+    "b8a53f6a2b87771ec811d5de8a8e868523630af33620d7a713163682d2b968f6"
+)
 
 
 class TestSecureRandom:
+    def test_seeded_stream_is_pinned(self):
+        assert SecureRandom(seed=b"nrbench").random_bytes(64) == _NRBENCH_STREAM
+
     def test_seeded_generators_are_deterministic(self):
         a = SecureRandom(seed=b"seed")
         b = SecureRandom(seed=b"seed")
@@ -67,10 +83,6 @@ class TestSecureRandom:
             assert value % 2 == 1
             assert value.bit_length() == 64
 
-    def test_random_hex_length(self):
-        rng = SecureRandom(seed=b"seed")
-        assert len(rng.random_hex(11)) == 11
-
     def test_reseed_changes_future_output(self):
         a = SecureRandom(seed=b"seed")
         b = SecureRandom(seed=b"seed")
@@ -102,3 +114,63 @@ class TestIdentifiers:
 
     def test_nonces_are_unpredictable(self):
         assert new_nonce() != new_nonce()
+
+
+class TestDefaultGenerator:
+    def test_default_generator_is_the_os_csprng(self):
+        rng = default_rng()
+        assert isinstance(rng, OSRandom)
+        assert len(rng.random_bytes(33)) == 33
+        rng.reseed(b"ignored")  # nothing to reseed
+        assert rng.random_bytes(16) != rng.random_bytes(16)
+        with pytest.raises(ValueError):
+            rng.random_bytes(-1)
+
+    def test_unique_id_format_is_prefix_and_32_hex_digits(self):
+        prefix, _, digits = new_unique_id("msg").partition("-")
+        assert prefix == "msg"
+        assert len(digits) == 32 and set(digits) <= set("0123456789abcdef")
+
+
+def _draws() -> bytes:
+    keypair = RSAScheme().generate_keypair()
+    return b"\n".join(
+        [new_unique_id("msg").encode(), new_nonce().hex().encode(), b"%x" % keypair.public.params["n"]]
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_draws_its_own_ids_nonces_and_keys():
+    """A child forked after import shares no generator state with its parent."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report its draws, then leave without cleanup
+        status = 1
+        try:
+            os.close(read_end)
+            os.write(write_end, _draws())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        parent = _draws()
+        received = b""
+        deadline = time.monotonic() + 60
+        while True:
+            ready, _, _ = select.select([read_end], [], [], max(0.0, deadline - time.monotonic()))
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail("forked child did not report its draws")
+            chunk = os.read(read_end, 65536)
+            if not chunk:
+                break
+            received += chunk
+    finally:
+        os.close(read_end)
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    child = received.split(b"\n")
+    assert len(child) == 3
+    for mine, theirs in zip(parent.split(b"\n"), child):
+        assert mine != theirs
