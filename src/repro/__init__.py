@@ -75,7 +75,7 @@ that representation is reused everywhere downstream.
   ``pow`` with identical results.  Identifiers, nonces and keys draw from
   the OS CSPRNG (``os.urandom``), so no generator state is shared across
   ``fork()``; key primes pass a one-``gcd`` small-prime screen and 32
-  Miller-Rabin rounds whose survivors share one prepared kernel.
+  Miller-Rabin rounds, and carry their top two bits, so a key takes two.
 
 * **Batched coordination fan-out** -- ``B2BCoordinator.request_all`` /
   ``send_all`` deliver a whole fan-out through one batched, retried network

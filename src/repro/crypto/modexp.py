@@ -7,15 +7,14 @@ Montgomery-multiplication path.  Python itself links against libcrypto, so
 when that shared library is loadable this module binds it via :mod:`ctypes`:
 
 * :func:`mod_exp` -- a one-shot ``BN_mod_exp`` that converts all three
-  operands and builds a Montgomery context per call.  DSA, the
-  forward-secure scheme (no benchmark workload selects either, so they were
-  left on it) and a prime candidate's first Miller-Rabin round use it.
+  operands and builds a Montgomery context per call.  Prime generation, DSA
+  and the forward-secure scheme use it (no benchmark workload selects either
+  scheme, so they were left on it).
 * :func:`prepare_mod_exp` -- converts exponent and modulus and sets up the
   ``BN_MONT_CTX`` once, returning a kernel that converts only the base: a
   secret exponent runs on ``BN_mod_exp_mont_consttime``, a public one on the
   ~3x faster ``BN_mod_exp_mont``.  RSA keeps one kernel per key half and per
-  public key; prime generation prepares one per candidate that survives its
-  first Miller-Rabin round.  Threads share a kernel's Montgomery context read-only, each
+  public key.  Threads share a kernel's Montgomery context read-only, each
   call has its own ``BN_CTX``, and a finalizer frees the OpenSSL objects
   when the kernel is dropped.
 

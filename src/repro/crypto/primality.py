@@ -2,11 +2,7 @@
 
 A candidate is screened by one ``gcd`` with the product of the 95 primes up
 to 499 (candidates up to 499 are looked up directly), then put through 32
-Miller-Rabin rounds with random bases.  Round 1 is a one-shot, variable-time
-``mod_exp``: nearly every candidate that reaches it is composite and fails
-there.  The survivors' remaining rounds share one constant-time kernel
-prepared for ``(d, candidate)`` (:func:`repro.crypto.modexp.prepare_mod_exp`),
-which at 512 bits costs no more than the variable-time one.  Generated
+Miller-Rabin rounds with random bases, each a one-shot ``mod_exp``.  Generated
 primes have their top two bits set, so a product of two ``k``-bit primes
 always has exactly ``2k`` bits and each factor is at least ``0.75 * 2**k``
 -- above the ``sqrt(2) * 2**(k-1)`` floor of FIPS 186-4 B.3.1.  Used by the
@@ -18,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.crypto.modexp import mod_exp, prepare_mod_exp
+from repro.crypto.modexp import mod_exp
 from repro.crypto.rng import SecureRandom, default_rng
 
 # The small-prime screen run before Miller-Rabin.
@@ -47,21 +43,19 @@ def is_probable_prime(candidate: int, rounds: int = 32, rng: Optional[SecureRand
         return False
     rng = rng or default_rng()
     # Write candidate - 1 as d * 2^r with d odd.
-    minus_one = candidate - 1
-    r = (minus_one & -minus_one).bit_length() - 1
-    d = minus_one >> r
-    # Round 1 rejects nearly every composite, so only its survivors pay
-    # for a prepared kernel.
-    exponentiate = lambda base: mod_exp(base, d, candidate)
-    for round_ in range(rounds):
-        if round_ == 1:
-            exponentiate = prepare_mod_exp(d, candidate, secret=True)
-        x = exponentiate(rng.random_int_range(2, minus_one))
-        if x == 1 or x == minus_one:
+    d = candidate - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        base = rng.random_int_range(2, candidate - 1)
+        x = mod_exp(base, d, candidate)
+        if x == 1 or x == candidate - 1:
             continue
         for _ in range(r - 1):
             x = pow(x, 2, candidate)
-            if x == minus_one:
+            if x == candidate - 1:
                 break
         else:
             return False

@@ -6,10 +6,10 @@ used to generate unique identifiers and random authenticators during
 non-repudiation protocols." (Section 3.5).
 
 Every default draw -- :func:`new_unique_id`, :func:`new_nonce` and
-:func:`default_rng`, which key generation uses -- comes straight from the
-operating system's CSPRNG (``os.urandom``).  The process holds no generator
-state, so a ``fork()``ed child never repeats its parent's identifiers,
-nonces or keys.
+:func:`default_rng`, which key generation uses -- comes from one
+:class:`OSRandom`, the operating system's CSPRNG (``os.urandom``).  The
+process holds no generator state, so a ``fork()``ed child never repeats its
+parent's identifiers, nonces or keys.
 
 :class:`SecureRandom` is an HMAC-DRBG (NIST SP 800-90A style) built on
 SHA-256.  It runs only where a caller constructs one -- seeded, to obtain a
@@ -107,9 +107,20 @@ class SecureRandom:
         value |= (1 << (bits - 1)) | 1
         return value
 
+    def random_hex(self, length: int) -> str:
+        """Return a random hex string of ``length`` characters."""
+        nbytes = (length + 1) // 2
+        return self.random_bytes(nbytes).hex()[:length]
+
 
 class OSRandom(SecureRandom):
-    """The operating system's CSPRNG behind the :class:`SecureRandom` API."""
+    """The operating system's CSPRNG behind the :class:`SecureRandom` API.
+
+    Besides the constructor it overrides :meth:`random_bytes` and
+    :meth:`reseed` only, and every other public method draws through
+    :meth:`random_bytes`, so the DRBG state that :class:`SecureRandom` keeps
+    is never created nor read here.
+    """
 
     def __init__(self) -> None:
         pass
@@ -132,7 +143,7 @@ def default_rng() -> SecureRandom:
 
 def new_nonce(length: int = 16) -> bytes:
     """Return a fresh random authenticator of ``length`` bytes."""
-    return os.urandom(length)
+    return _default_rng.random_bytes(length)
 
 
 def new_unique_id(prefix: str = "id") -> str:
@@ -141,4 +152,4 @@ def new_unique_id(prefix: str = "id") -> str:
     Identifiers are used as protocol-run (request) identifiers to distinguish
     between protocol runs and to bind protocol steps to a run (Section 3.2).
     """
-    return f"{prefix}-{os.urandom(16).hex()}"
+    return f"{prefix}-{_default_rng.random_hex(32)}"

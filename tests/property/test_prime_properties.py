@@ -1,8 +1,7 @@
 """Prime testing and RSA key generation against independent references.
 
 ``is_probable_prime`` screens with one ``gcd`` against the small-prime
-primorial and shares a prepared kernel across its Miller-Rabin rounds; these
-tests hold it to exact trial division wherever trial division is affordable,
+primorial before its Miller-Rabin rounds; these tests hold it to exact trial division wherever trial division is affordable,
 and to a plain-``pow`` transcription of the trial-division-then-Miller-Rabin
 loop on 512-bit inputs.
 """

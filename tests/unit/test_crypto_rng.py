@@ -1,14 +1,16 @@
 """Unit tests for the HMAC-DRBG generator and identifier helpers."""
 
+import json
 import os
-import select
-import signal
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.crypto.rng import OSRandom, SecureRandom, default_rng, new_nonce, new_unique_id
-from repro.crypto.rsa import RSAScheme
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 # The first 64 bytes of ``SecureRandom(seed=b"nrbench")`` as the HMAC-DRBG
 # has always produced them: fault plans and seeded tests replay this stream.
@@ -83,6 +85,10 @@ class TestSecureRandom:
             assert value % 2 == 1
             assert value.bit_length() == 64
 
+    def test_random_hex_length(self):
+        rng = SecureRandom(seed=b"seed")
+        assert len(rng.random_hex(11)) == 11
+
     def test_reseed_changes_future_output(self):
         a = SecureRandom(seed=b"seed")
         b = SecureRandom(seed=b"seed")
@@ -132,45 +138,46 @@ class TestDefaultGenerator:
         assert len(digits) == 32 and set(digits) <= set("0123456789abcdef")
 
 
-def _draws() -> bytes:
-    keypair = RSAScheme().generate_keypair()
-    return b"\n".join(
-        [new_unique_id("msg").encode(), new_nonce().hex().encode(), b"%x" % keypair.public.params["n"]]
-    )
+# Run in a fresh interpreter, so that exactly one thread exists when it forks.
+_FORK_SCRIPT = """
+import json, os
+from repro.crypto.rng import new_nonce, new_unique_id
+from repro.crypto.rsa import RSAScheme
+
+def draws():
+    modulus = RSAScheme().generate_keypair().public.params["n"]
+    return [new_unique_id("msg"), new_nonce().hex(), "%x" % modulus]
+
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    status = 1
+    try:
+        os.close(read_end)
+        os.write(write_end, json.dumps(draws()).encode())
+        status = 0
+    finally:
+        os._exit(status)
+os.close(write_end)
+parent = draws()
+with os.fdopen(read_end, "rb") as pipe:
+    child = json.loads(pipe.read())
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, "forked child failed"
+print(json.dumps({"parent": parent, "child": child}))
+"""
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_draws_its_own_ids_nonces_and_keys():
     """A child forked after import shares no generator state with its parent."""
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: report its draws, then leave without cleanup
-        status = 1
-        try:
-            os.close(read_end)
-            os.write(write_end, _draws())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    try:
-        parent = _draws()
-        received = b""
-        deadline = time.monotonic() + 60
-        while True:
-            ready, _, _ = select.select([read_end], [], [], max(0.0, deadline - time.monotonic()))
-            if not ready:
-                os.kill(pid, signal.SIGKILL)
-                pytest.fail("forked child did not report its draws")
-            chunk = os.read(read_end, 65536)
-            if not chunk:
-                break
-            received += chunk
-    finally:
-        os.close(read_end)
-        _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    child = received.split(b"\n")
-    assert len(child) == 3
-    for mine, theirs in zip(parent.split(b"\n"), child):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([_SRC, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    result = subprocess.run(
+        [sys.executable, "-c", _FORK_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    draws = json.loads(result.stdout)
+    assert len(draws["child"]) == len(draws["parent"]) == 3
+    for mine, theirs in zip(draws["parent"], draws["child"]):
         assert mine != theirs
