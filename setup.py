@@ -1,10 +1,25 @@
-"""Setuptools entry point.
+"""Setuptools entry point for the ``repro`` package (src layout).
 
-Kept alongside ``pyproject.toml`` so the package can be installed in
-environments without the ``wheel`` package (legacy editable installs via
-``pip install -e . --no-use-pep517``).
+``pip install .`` installs the library from ``src/``; it has no runtime
+dependencies.  The version is read from ``repro.__version__`` without
+importing the package.  Test and CI tooling is in ``requirements-dev.txt``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"', INIT.read_text(encoding="utf-8"), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Component middleware for non-repudiable service interactions",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

@@ -109,6 +109,14 @@ that representation is reused everywhere downstream.
   transactions per responder and 4 at the proposer (5 parties, durable:
   12 for 49 rows, 32 before), and a step is atomic across stores.
 
+* **Per-party memory follows stored evidence** -- a handler keeps a run's
+  replies for replay to duplicates only while the run is active: the
+  outcome, an abort notice or the orphan expiry (sharing) and the
+  ``NRR_response`` receipt (invocation) settle it and drop them.  A settled
+  ``ProtocolRun`` is a slotted record of ids, status and seen message ids
+  (about 450 B a run besides its evidence), so a duplicate one-way message
+  is still ignored and a late request is refused rather than served again.
+
 Concurrency model
 -----------------
 

@@ -17,12 +17,12 @@ the target component and uses the result to complete the protocol.
 
 At-most-once semantics: the server handler caches the response message per
 protocol run, so a retransmitted request is answered from the cache without
-re-executing the operation.
+re-executing the operation.  The receipt settles the run and drops the
+cached response; a request arriving after it is refused, not re-executed.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -133,8 +133,6 @@ class ServerInvocationHandler(B2BProtocolHandler):
         self.party = party
         self._coordinator = coordinator
         self._dispatcher = dispatcher
-        self._response_cache: Dict[str, B2BProtocolMessage] = {}
-        self._lock = threading.RLock()
 
     # -- step 1: request ---------------------------------------------------------
 
@@ -144,13 +142,6 @@ class ServerInvocationHandler(B2BProtocolHandler):
                 f"unexpected step {message.step} on the request path of "
                 f"{self.protocol!r}"
             )
-        with self._lock:
-            cached = self._response_cache.get(message.run_id)
-        if cached is not None:
-            # Retransmission: answer from the cache, do not re-execute.
-            return cached
-
-        services = self._coordinator.services
         run = self.runs.get_or_create(
             ProtocolRun(
                 run_id=message.run_id,
@@ -159,7 +150,11 @@ class ServerInvocationHandler(B2BProtocolHandler):
                 responder=self.party,
             )
         )
-        run.record_message(message)
+        cached = run.admit_request(message)
+        if cached is not None:
+            # Retransmission: answer from the cache, do not re-execute.
+            return cached
+        services = self._coordinator.services
         request_payload = message.payload
 
         # Verify the client's evidence of origin before doing any work.
@@ -252,9 +247,8 @@ class ServerInvocationHandler(B2BProtocolHandler):
             tokens=[nrr_request, nro_response],
             reply_to=self._coordinator.address,
         )
-        run.data["response_payload"] = response_payload
-        with self._lock:
-            self._response_cache[message.run_id] = response
+        run.data = {"response_payload": response_payload}
+        run.cache_response(message.message_id, response)
         return response
 
     def _execute(
@@ -303,14 +297,14 @@ class ServerInvocationHandler(B2BProtocolHandler):
             raise ProtocolError(
                 f"receipt for unknown invocation run {message.run_id!r}"
             )
-        if not run.record_message(message):
+        if run.finished or not run.record_message(message):
             return  # duplicate delivery of the receipt
         nrr_response = message.require_token(TokenType.NRR_RESPONSE.value)
         services.evidence_verifier.require_valid(
             nrr_response,
             expected_type=TokenType.NRR_RESPONSE,
             expected_run_id=message.run_id,
-            expected_payload=run.data.get("response_payload"),
+            expected_payload=(run.data or {}).get("response_payload"),
             expected_issuer=message.sender,
         )
         services.evidence_store.store(

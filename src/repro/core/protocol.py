@@ -14,7 +14,6 @@ interceptor keeps while the protocol executes.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional
@@ -25,8 +24,10 @@ from repro.errors import ProtocolError, ProtocolStateError
 #: Per-run bounds on duplicate-suppression state.  The dedup window caps how
 #: many message ids a run remembers (evicting oldest-first); the response
 #: cache keeps the replies recorded for replay to transport duplicates.
-#: Real runs see a handful of messages -- the bounds only matter under
-#: sustained injected duplication, where they keep memory flat.
+#: Real runs see a handful of messages; the bounds cap one *active* run under
+#: sustained injected duplication.  A party's memory does not grow with the
+#: runs it served because settling a run drops its replies and handler data
+#: (see :class:`ProtocolRun`), not because of these bounds.
 DEDUP_WINDOW = 256
 RESPONSE_CACHE = 64
 
@@ -40,9 +41,19 @@ class RunStatus(Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtocolRun:
-    """State kept by a handler for one protocol run."""
+    """State kept by a handler for one protocol run.
+
+    While the run is active it holds the replies recorded for replay to
+    duplicate requests and whatever its handler keeps in ``data`` (both
+    ``None`` until first used).  Settling it (:meth:`complete`,
+    :meth:`abort`, :meth:`fail`) drops both: a settled run keeps its ids,
+    status and initiator (abort notices are authorised against it) and its
+    window of seen message ids, so duplicate one-way messages stay ignored
+    and a late request is refused (:meth:`admit_request`) instead of being
+    served again.
+    """
 
     run_id: str
     protocol: str
@@ -50,15 +61,11 @@ class ProtocolRun:
     responder: str
     status: RunStatus = RunStatus.ACTIVE
     last_step: int = 0
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Optional[Dict[str, Any]] = None
     messages_seen: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        # Set-backed mirror of messages_seen for O(1) duplicate checks (the
-        # list stays the public record, e.g. for recovered runs built with
-        # pre-populated ids).
-        self._seen_ids = set(self.messages_seen)
-        self._responses: "OrderedDict[str, B2BProtocolMessage]" = OrderedDict()
+    _responses: Optional[Dict[str, B2BProtocolMessage]] = field(
+        default=None, init=False, repr=False
+    )
 
     def record_message(self, message: B2BProtocolMessage) -> bool:
         """Record a message against this run.
@@ -68,35 +75,64 @@ class ProtocolRun:
         which handlers use for at-most-once semantics.  The window is
         bounded at :data:`DEDUP_WINDOW` ids, oldest evicted first.
         """
-        if message.message_id in self._seen_ids:
+        if message.message_id in self.messages_seen:
             return False
         self.messages_seen.append(message.message_id)
-        self._seen_ids.add(message.message_id)
-        while len(self.messages_seen) > DEDUP_WINDOW:
-            self._seen_ids.discard(self.messages_seen.pop(0))
+        del self.messages_seen[:-DEDUP_WINDOW]
         self.last_step = max(self.last_step, message.step)
         return True
+
+    def admit_request(
+        self, message: B2BProtocolMessage
+    ) -> Optional[B2BProtocolMessage]:
+        """Record a request; the recorded reply if it is a duplicate.
+
+        ``None`` means serve it (a new request, or a duplicate whose reply
+        is not cached).  A request for a settled run is refused: its replies
+        are gone, and serving it again would re-validate and re-store.
+        """
+        if self.finished:
+            raise ProtocolStateError(
+                f"run {self.run_id!r} is already {self.status.value}"
+            )
+        if self.record_message(message):
+            return None
+        return self.cached_response(message.message_id)
 
     def cache_response(
         self, message_id: str, response: B2BProtocolMessage
     ) -> None:
         """Remember the response produced for ``message_id`` for replay."""
-        self._responses[message_id] = response
-        while len(self._responses) > RESPONSE_CACHE:
-            self._responses.popitem(last=False)
+        responses = {} if self._responses is None else self._responses
+        responses[message_id] = response
+        if len(responses) > RESPONSE_CACHE:
+            del responses[next(iter(responses))]
+        self._responses = responses
+        # Checked after the write, lock-free: a run settling concurrently
+        # either sees the write and drops it, or is seen here.
+        if self.finished:
+            self._responses = None
 
     def cached_response(self, message_id: str) -> Optional[B2BProtocolMessage]:
         """The recorded response for a duplicate request, if still cached."""
-        return self._responses.get(message_id)
+        return self._responses.get(message_id) if self._responses else None
+
+    @property
+    def holds_replay_state(self) -> bool:
+        """Whether cached replies or handler data are still held."""
+        return self._responses is not None or self.data is not None
+
+    def _settle(self, status: RunStatus) -> None:
+        self.status, self._responses, self.data = status, None, None
 
     def complete(self) -> None:
-        self.status = RunStatus.COMPLETED
+        self._settle(RunStatus.COMPLETED)
 
     def abort(self) -> None:
-        self.status = RunStatus.ABORTED
+        self._settle(RunStatus.ABORTED)
 
     def fail(self) -> None:
-        self.status = RunStatus.FAILED
+        self._settle(RunStatus.FAILED)
 
     @property
     def finished(self) -> bool:

@@ -2729,18 +2729,18 @@ class SharingProtocolHandler(B2BProtocolHandler):
         action = message.attributes.get("action")
         if action == ACTION_CATCH_UP:  # a read: no run state, safe to re-serve
             return self._controller._serve_catch_up(message)  # noqa: SLF001
+        # A transport duplicate, or the sender's retry of a request whose
+        # reply was lost in transit, gets the recorded response verbatim
+        # instead of being re-validated, so the evidence store holds exactly
+        # one NRO_UPDATE/NR_DECISION pair per proposal no matter how many
+        # times the request arrives.  (If the cached response was evicted --
+        # only possible under pathological duplication -- it is re-served;
+        # handlers tolerate the re-store.)  Once the run settled, its replies
+        # are gone and a late duplicate is refused.
         run = self._run_for(message)
-        if not run.record_message(message):
-            # A transport duplicate, or the sender's retry of a request whose
-            # reply was lost in transit: replay the recorded response
-            # verbatim instead of re-validating, so the evidence store holds
-            # exactly one NRO_UPDATE/NR_DECISION pair per proposal no matter
-            # how many times the request arrives.  (If the cached response
-            # was evicted -- only possible under pathological duplication --
-            # fall through and re-serve; handlers tolerate the re-store.)
-            cached = run.cached_response(message.message_id)
-            if cached is not None:
-                return cached
+        cached = run.admit_request(message)
+        if cached is not None:
+            return cached
         # The responder's span parents to the context the transports carried
         # over from the proposer (run root or commit span) -- the same tree no
         # matter which transport delivered the request.
